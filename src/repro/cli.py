@@ -230,6 +230,17 @@ def _finite(x: float) -> float | None:
     return x if math.isfinite(x) else None
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _ratio_text(x: float) -> str:
     """Text rendering of a speedup ratio: ``1.23x``, or bare ``inf``/``nan``."""
     import math
@@ -515,8 +526,8 @@ def _faultcampaign_sweep(args: argparse.Namespace) -> int:
                 build_layout(name, args.n)
                 for name in comparison_pair(args.family)
             )
-            n_i = max(lay.n for lay in layouts)
-            n_j = max(getattr(lay, "data_rows", lay.rows) for lay in layouts)
+            n_i = max(lay.content_table.n for lay in layouts)
+            n_j = max(lay.content_table.data_rows for lay in layouts)
             pool.share_film(2012, 16, args.stripes, n_i, n_j)
         sweep = compare_sweep(
             args.family,
@@ -797,7 +808,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="second failure as a fraction of the clean rebuild "
                         "makespan (negative or omitted value disables)")
     p.add_argument("--rate", type=float, default=30.0, help="user reads per second")
-    p.add_argument("--seeds", type=int, default=1,
+    p.add_argument("--seeds", type=_positive_int, default=1,
                    help="run a sweep of this many independent seeded storms "
                         "(derived from --seed via SeedSequence.spawn); "
                         "the second-failure knobs apply to single runs only")

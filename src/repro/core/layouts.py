@@ -24,8 +24,12 @@ disk(s); element rows are per-disk indices within one stripe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from ..codes.evenodd import smallest_prime_at_least
+import numpy as np
+
+from ..codes.evenodd import EvenOdd, smallest_prime_at_least
+from ..codes.rdp import RDP
 from .arrangement import Arrangement, IdentityArrangement, ShiftedArrangement
 from .errors import LayoutError, UnrecoverableFailureError
 from .reconstruction import ReconstructionPlan, RecoveryMethod
@@ -34,6 +38,7 @@ from .writes import WritePlan
 
 __all__ = [
     "Content",
+    "ContentTable",
     "Layout",
     "MirrorLayout",
     "MirrorParityLayout",
@@ -65,6 +70,109 @@ class Content:
     j: int
 
 
+@dataclass(frozen=True, eq=False)
+class ContentTable:
+    """A layout's :meth:`Layout.content` map compiled to index arrays.
+
+    ``cells`` lists every logical ``(disk, row)`` of one stripe as a
+    ``(disks * rows, 2)`` array, grouped by how its value is derived
+    from the stripe's ``(data_rows, n)`` data block:
+
+    * the first ``len(copy_src)`` are **copy** cells, storing data
+      element ``a[i, j]`` with ``(i, j)`` in ``copy_src`` — primaries
+      (kind ``"data"``) and replicas alike;
+    * the next ``len(xor_rows)`` are **XOR** cells, storing the XOR of
+      data row ``xor_rows[k]``;
+    * the rest are **coded** cells, filled by :meth:`Layout.encode` in
+      this order.
+
+    ``primary_index[j * n + i]`` is the position in ``cells`` of the
+    primary copy of ``a[i, j]``, so stored values gathered in ``cells``
+    order give back the data block in one take.
+    """
+
+    data_rows: int
+    n: int
+    cells: np.ndarray
+    copy_src: np.ndarray
+    xor_rows: np.ndarray
+    primary_index: np.ndarray
+
+    @classmethod
+    def compile(cls, layout: "Layout") -> "ContentTable":
+        """Enumerate ``layout.content()`` over one stripe, once."""
+        copies: list[tuple[int, int]] = []
+        copy_src: list[tuple[int, int]] = []
+        xors: list[tuple[int, int]] = []
+        xor_rows: list[int] = []
+        coded: list[tuple[int, int]] = []
+        primaries: dict[tuple[int, int], int] = {}
+        for disk in range(layout.n_disks):
+            for row in range(layout.rows):
+                c = layout.content(disk, row)
+                if c.kind in layout.coded_kinds:
+                    coded.append((disk, row))
+                elif c.kind in ("data", "replica"):
+                    if c.kind == "data":
+                        primaries[(c.i, c.j)] = len(copies)
+                    copies.append((disk, row))
+                    copy_src.append((c.i, c.j))
+                elif c.kind == "parity":
+                    xors.append((disk, row))
+                    xor_rows.append(c.j)
+                else:
+                    raise LayoutError(
+                        f"{layout.name}: content kind {c.kind!r} at {(disk, row)} "
+                        f"has no encoder"
+                    )
+        n = layout.n
+        data_rows = 1 + max(j for _, j in primaries)
+        block = [(i, j) for j in range(data_rows) for i in range(n)]
+        if len(primaries) != len(block) or any(ij not in primaries for ij in block):
+            raise LayoutError(
+                f"{layout.name}: primaries do not cover the "
+                f"{data_rows} x {n} data block exactly once"
+            )
+
+        def frozen(values, shape) -> np.ndarray:
+            arr = np.array(values, dtype=np.intp).reshape(shape)
+            arr.setflags(write=False)
+            return arr
+
+        return cls(
+            data_rows=data_rows,
+            n=n,
+            cells=frozen(copies + xors + coded, (-1, 2)),
+            copy_src=frozen(copy_src, (-1, 2)),
+            xor_rows=frozen(xor_rows, (-1,)),
+            primary_index=frozen([primaries[ij] for ij in block], (-1,)),
+        )
+
+    def data_block(self, values: np.ndarray) -> np.ndarray:
+        """The data block held by the primaries of stored ``values``.
+
+        ``values`` is ``(stripes, cells, payload)`` in :attr:`cells`
+        order; the result is ``(stripes, data_rows, n, payload)``.
+        """
+        s, _, payload = values.shape
+        return values[:, self.primary_index].reshape(s, self.data_rows, self.n, payload)
+
+
+def _fold_stripes(block: np.ndarray) -> np.ndarray:
+    """``(stripes, rows, n, payload)`` -> ``(rows, n, stripes * payload)``.
+
+    The array codes work byte by byte, so one encode over a block whose
+    stripes ride along the payload axis codes every stripe at once.
+    """
+    s, rows, n, payload = block.shape
+    return block.transpose(1, 2, 0, 3).reshape(rows, n, s * payload)
+
+
+def _unfold_stripes(cells: np.ndarray, n_stripes: int) -> np.ndarray:
+    """``(cells, stripes * payload)`` -> ``(stripes, cells, payload)``."""
+    return cells.reshape(cells.shape[0], n_stripes, -1).transpose(1, 0, 2)
+
+
 class Layout:
     """Base class; subclasses fill in the architecture specifics.
 
@@ -86,10 +194,45 @@ class Layout:
     n_disks: int
     fault_tolerance: int
 
+    #: content kinds filled by :meth:`encode`; any other ``"parity"``
+    #: cell is the XOR of its data row
+    coded_kinds: tuple[str, ...] = ()
+
     # -- content ------------------------------------------------------
     def content(self, disk: int, row: int) -> Content:
         """What the element at ``(global disk, row)`` stores."""
         raise NotImplementedError
+
+    @cached_property
+    def content_table(self) -> ContentTable:
+        """:meth:`content` compiled once per instance (see :class:`ContentTable`)."""
+        return ContentTable.compile(self)
+
+    def encode(self, block: np.ndarray) -> np.ndarray:
+        """Coded cells of a ``(stripes, data_rows, n, payload)`` data block.
+
+        Returns ``(stripes, coded cells, payload)`` in
+        :attr:`content_table` order; layouts without coded cells
+        return an empty middle axis.
+        """
+        return np.empty((block.shape[0], 0, block.shape[3]), dtype=np.uint8)
+
+    def derive(self, block: np.ndarray) -> np.ndarray:
+        """Every cell's value for a ``(stripes, data_rows, n, payload)`` block.
+
+        ``(stripes, cells, payload)`` in :attr:`content_table` order:
+        the stripe's complete content, ready to scatter or compare.
+        """
+        t = self.content_table
+        i, j = t.copy_src.T
+        return np.concatenate(
+            [
+                block[:, j, i],
+                np.bitwise_xor.reduce(block[:, t.xor_rows], axis=2),
+                self.encode(block),
+            ],
+            axis=1,
+        )
 
     def data_cell(self, i: int, j: int) -> tuple[int, int]:
         """Physical ``(disk, row)`` of data element ``a[i, j]``."""
@@ -668,6 +811,7 @@ class RAID6Layout(Layout):
     """
 
     fault_tolerance = 2
+    coded_kinds = ("parity", "q_parity")
 
     def __init__(self, n: int, code: str = "rdp") -> None:
         if n < 2:
@@ -678,8 +822,10 @@ class RAID6Layout(Layout):
         self.code_name = code
         if code == "evenodd":
             self.p = smallest_prime_at_least(max(n, 3))
+            self.code = EvenOdd(self.p, n)
         else:  # RDP admits p - 1 data columns
             self.p = smallest_prime_at_least(max(n + 1, 3))
+            self.code = RDP(self.p, n)
         self.rows = self.p - 1
         self.n_disks = n + 2
         self.name = f"raid6-{code}"
@@ -701,6 +847,11 @@ class RAID6Layout(Layout):
 
     def data_cell(self, i: int, j: int) -> tuple[int, int]:
         return (i, j)
+
+    def encode(self, block: np.ndarray) -> np.ndarray:
+        """The P column then the Q column, every stripe in one code call."""
+        row_par, diag_par = self.code.encode(_fold_stripes(block))
+        return _unfold_stripes(np.concatenate([row_par, diag_par]), block.shape[0])
 
     def storage_efficiency(self) -> float:
         return self.n / (self.n + 2)
@@ -933,6 +1084,7 @@ class XCodeLayout(Layout):
     """
 
     fault_tolerance = 2
+    coded_kinds = ("parity", "q_parity")
 
     def __init__(self, p: int) -> None:
         from ..codes.xcode import XCode
@@ -964,6 +1116,12 @@ class XCodeLayout(Layout):
         diag_col = (i - j - 2) % self.p
         anti_col = (i + j + 2) % self.p
         return [(diag_col, self.p - 2), (anti_col, self.p - 1)]
+
+    def encode(self, block: np.ndarray) -> np.ndarray:
+        """Each disk's diagonal then anti-diagonal parity, disk by disk."""
+        diag, anti = self.code.encode(_fold_stripes(block))
+        coded = np.stack([diag, anti], axis=1).reshape(2 * self.p, -1)
+        return _unfold_stripes(coded, block.shape[0])
 
     def storage_efficiency(self) -> float:
         return (self.p - 2) / self.p

@@ -16,6 +16,8 @@ at (stripe ``s``, row ``j``) sits at per-disk offset ``s * rows + j``.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .layouts import Layout
 
 __all__ = ["RotatedStack"]
@@ -94,6 +96,20 @@ class RotatedStack:
             raise IndexError(f"row {row} outside stripe of {self.rows} rows")
         physical = (logical_disk + stripe) % self.n_disks if self.rotate else logical_disk
         return (physical, stripe * self.rows + row)
+
+    def place_cells(
+        self, stripes: np.ndarray, cells: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`place` for every logical ``(disk, row)`` of ``cells``
+        (a ``(k, 2)`` array) in every stripe of ``stripes``.
+
+        Returns ``(physical disks, slots)`` that broadcast to
+        ``(len(stripes), k)`` — ready to index a content store.
+        """
+        s = np.asarray(stripes)[:, None]
+        disks, rows = cells[:, 0], cells[:, 1]
+        physical = (disks + s) % self.n_disks if self.rotate else disks
+        return physical, s * self.rows + rows
 
     # ------------------------------------------------------------------
     def logical_failures(self, physical_failed) -> list[tuple[int, ...]]:

@@ -109,10 +109,18 @@ class CampaignComparison:
 
     @property
     def makespan_speedup(self) -> float:
-        """Traditional over shifted rebuild makespan (>1 favours shifted)."""
-        if self.shifted.rebuild.makespan_s <= 0:
+        """Traditional over shifted rebuild makespan (>1 favours shifted).
+
+        ``NaN`` when either rebuild aborted or failed verification: the
+        makespan of a rebuild that did not restore the data is no
+        rebuild time, so no ratio is defined (``null`` under ``--json``).
+        """
+        t, s = self.traditional.rebuild, self.shifted.rebuild
+        if t.aborted or s.aborted or not (t.verified and s.verified):
+            return float("nan")
+        if s.makespan_s <= 0:
             return float("inf")
-        return self.traditional.rebuild.makespan_s / self.shifted.rebuild.makespan_s
+        return t.makespan_s / s.makespan_s
 
 
 def clean_rebuild_makespan(

@@ -552,46 +552,24 @@ class RaidController:
         disk, row = cell
         return self.stack.place(stripe, disk, row)
 
-    def _stripe_data(self, stripe: int) -> np.ndarray:
-        """``(data rows, n, payload)`` data block of one stripe, from the film."""
-        lay = self.layout
-        data_rows = getattr(lay, "data_rows", lay.rows)
-        out = np.empty((data_rows, lay.n, self.payload_bytes), dtype=np.uint8)
-        for j in range(data_rows):
-            for i in range(lay.n):
-                out[j, i] = self.film.element(stripe, i, j)
-        return out
-
     def _init_content(self) -> None:
-        for stripe in range(self.n_stripes):
-            self._write_stripe_content(stripe, self._stripe_data(stripe))
+        """Install every stripe's film data and derived redundancy at once."""
+        t = self.layout.content_table
+        film = self.film.block(self.n_stripes, t.n, t.data_rows)
+        self._install(np.arange(self.n_stripes), film.transpose(0, 2, 1, 3))
 
-    def _write_stripe_content(self, stripe: int, data: np.ndarray) -> None:
-        """Install a stripe's data block and all derived redundancy."""
-        lay = self.layout
-        for disk in range(lay.n_disks):
-            for row in range(lay.rows):
-                c = lay.content(disk, row)
-                pd, slot = self.place(stripe, (disk, row))
-                if c.kind in ("data", "replica"):
-                    self.content[pd, slot] = data[c.j, c.i]
-                elif c.kind == "parity" and not isinstance(
-                    lay, (RAID6Layout, XCodeLayout)
-                ):
-                    self.content[pd, slot] = np.bitwise_xor.reduce(data[c.j], axis=0)
-        if isinstance(lay, RAID6Layout):
-            self._encode_raid6_stripe(stripe, data)
-        elif isinstance(lay, XCodeLayout):
-            self._encode_xcode_stripe(stripe, data)
+    def _install(self, stripes: np.ndarray, block: np.ndarray) -> None:
+        """Write the full content of ``stripes`` derived from their
+        ``(stripes, data_rows, n, payload)`` data ``block``."""
+        cells = self.stack.place_cells(stripes, self.layout.content_table.cells)
+        self.content[cells] = self.layout.derive(block)
 
-    def _encode_xcode_stripe(self, stripe: int, data: np.ndarray) -> None:
-        lay = self.layout
-        diag, anti = lay.code.encode(data)
-        for disk in range(lay.n_disks):
-            pd, slot = self.place(stripe, (disk, lay.p - 2))
-            self.content[pd, slot] = diag[disk]
-            pd, slot = self.place(stripe, (disk, lay.p - 1))
-            self.content[pd, slot] = anti[disk]
+    def _stored(self, stripes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Stored values of every table cell of ``stripes``, and the data
+        block their primaries hold."""
+        t = self.layout.content_table
+        values = self.content[self.stack.place_cells(stripes, t.cells)]
+        return values, t.data_block(values)
 
     def _raid6_code(self):
         lay = self.layout
@@ -602,15 +580,6 @@ class RaidController:
         )
         return dec
 
-    def _encode_raid6_stripe(self, stripe: int, data: np.ndarray) -> None:
-        lay = self.layout
-        row_par, diag_par = self._raid6_code().code.encode(data)
-        for row in range(lay.rows):
-            pd, slot = self.place(stripe, (lay.p_disk, row))
-            self.content[pd, slot] = row_par[row]
-            qd, qslot = self.place(stripe, (lay.q_disk, row))
-            self.content[qd, qslot] = diag_par[row]
-
     def element_content(self, stripe: int, cell: tuple[int, int]) -> np.ndarray:
         """Current payload of a logical stripe cell."""
         pd, slot = self.place(stripe, cell)
@@ -619,18 +588,6 @@ class RaidController:
     # ==================================================================
     # reconstruction
     # ==================================================================
-    def stripe_plan(self, stripe: int, failed_physical) -> ReconstructionPlan:
-        """The stripe's logical reconstruction plan for a physical failure.
-
-        Served from the controller's :class:`PlanCache`: stripes whose
-        rotation maps the failure onto the same logical set share one
-        derivation.  The returned plan is shared — treat as immutable.
-        """
-        logical = tuple(
-            sorted(self.stack.logical_disk(stripe, f) for f in failed_physical)
-        )
-        return self.plan_cache.plan(logical)
-
     def _submit_reads_with_retry(
         self,
         cells,
@@ -1217,10 +1174,6 @@ class RaidController:
         """Execute one phase's recovery steps on the content store."""
         self._apply_steps(stripe, plan, phase.steps)
 
-    def _apply_recovery(self, stripe: int, plan: ReconstructionPlan) -> None:
-        """Execute all of a plan's recovery steps on the content store."""
-        self._apply_steps(stripe, plan, plan.steps)
-
     def _apply_steps(self, stripe: int, plan: ReconstructionPlan, steps) -> None:
         for step in steps:
             pd, slot = self.place(stripe, step.target)
@@ -1415,101 +1368,18 @@ class RaidController:
                     acc ^= self.element_content(op.stripe, lay.data_cell(i, j))
                 pd, slot = self.place(op.stripe, lay.parity_cell(j))
                 self.content[pd, slot] = acc
-        elif isinstance(lay, RAID6Layout):
-            data = np.stack(
-                [
-                    np.stack(
-                        [
-                            self.element_content(op.stripe, lay.data_cell(i, j))
-                            for i in range(lay.n)
-                        ]
-                    )
-                    for j in range(lay.rows)
-                ]
-            )
-            self._encode_raid6_stripe(op.stripe, data)
-        elif isinstance(lay, XCodeLayout):
-            data = np.stack(
-                [
-                    np.stack(
-                        [
-                            self.element_content(op.stripe, lay.data_cell(i, j))
-                            for i in range(lay.n)
-                        ]
-                    )
-                    for j in range(lay.data_rows)
-                ]
-            )
-            self._encode_xcode_stripe(op.stripe, data)
+        elif isinstance(lay, (RAID6Layout, XCodeLayout)):
+            stripes = np.array([op.stripe])
+            self._install(stripes, self._stored(stripes)[1])
 
     # ==================================================================
     # verification helpers (paper §VII-A post-check, plus invariants)
     # ==================================================================
     def verify_redundancy(self) -> bool:
-        """Whether every replica/parity element matches its definition."""
-        lay = self.layout
-        for stripe in range(self.n_stripes):
-            for disk in range(lay.n_disks):
-                for row in range(lay.rows):
-                    c = lay.content(disk, row)
-                    got = self.element_content(stripe, (disk, row))
-                    if c.kind == "replica":
-                        want = self.element_content(stripe, lay.data_cell(c.i, c.j))
-                    elif c.kind == "parity" and not isinstance(
-                        lay, (RAID6Layout, XCodeLayout)
-                    ):
-                        want = np.zeros(self.payload_bytes, dtype=np.uint8)
-                        for i in range(lay.n):
-                            want = want ^ self.element_content(
-                                stripe, lay.data_cell(i, c.j)
-                            )
-                    else:
-                        continue
-                    if not np.array_equal(got, want):
-                        return False
-            if isinstance(lay, RAID6Layout) and not self._verify_raid6_stripe(stripe):
-                return False
-            if isinstance(lay, XCodeLayout) and not self._verify_xcode_stripe(stripe):
-                return False
-        return True
+        """Whether every replica/parity element matches its definition.
 
-    def _verify_xcode_stripe(self, stripe: int) -> bool:
-        lay = self.layout
-        data = np.stack(
-            [
-                np.stack(
-                    [self.element_content(stripe, lay.data_cell(i, j)) for i in range(lay.n)]
-                )
-                for j in range(lay.data_rows)
-            ]
-        )
-        diag, anti = lay.code.encode(data)
-        for d in range(lay.n_disks):
-            if not np.array_equal(diag[d], self.element_content(stripe, (d, lay.p - 2))):
-                return False
-            if not np.array_equal(anti[d], self.element_content(stripe, (d, lay.p - 1))):
-                return False
-        return True
-
-    def _verify_raid6_stripe(self, stripe: int) -> bool:
-        lay = self.layout
-        code = self._raid6_code().code
-        data = np.stack(
-            [
-                np.stack(
-                    [self.element_content(stripe, lay.data_cell(i, j)) for i in range(lay.n)]
-                )
-                for j in range(lay.rows)
-            ]
-        )
-        row_par, diag_par = code.encode(data)
-        for r in range(lay.rows):
-            if not np.array_equal(
-                row_par[r], self.element_content(stripe, (lay.p_disk, r))
-            ):
-                return False
-            if not np.array_equal(
-                diag_par[r], self.element_content(stripe, (lay.q_disk, r))
-            ):
-                return False
-        return True
+        Recomputes each stripe's content from the data its primaries
+        hold, over all stripes at once, and compares it with the store.
+        """
+        values, block = self._stored(np.arange(self.n_stripes))
+        return np.array_equal(values, self.layout.derive(block))

@@ -127,15 +127,21 @@ class LeaderboardEntry:
 
     @property
     def rank_key(self) -> tuple:
-        """Sort key: availability down, then makespan, p99, name up.
+        """Sort key: completed rebuilds first, then availability down,
+        then makespan, p99, name up.
 
+        An aborted or unverified rebuild ranks below every completed
+        one, whatever its availability: it did not restore the data.
         ``NaN`` p99 (nothing served) ranks last among ties; the name
         tiebreak makes the full ordering total and deterministic.
         """
         p99 = self.degraded_p99_ms
         if math.isnan(p99):
             p99 = float("inf")
-        return (-self.availability, self.rebuild_makespan_s, p99, self.layout)
+        incomplete = self.rebuild_aborted or not self.rebuild_verified
+        return (
+            incomplete, -self.availability, self.rebuild_makespan_s, p99, self.layout
+        )
 
 
 def leaderboard_duration_s(config: LeaderboardConfig) -> float:
@@ -255,7 +261,8 @@ class LeaderboardResult:
         return len(self.entries)
 
     def ranked(self) -> tuple[LeaderboardEntry, ...]:
-        """Entries best-first by availability / makespan / p99 / name."""
+        """Entries best-first: completed rebuilds, then availability /
+        makespan / p99 / name (see :attr:`LeaderboardEntry.rank_key`)."""
         return tuple(sorted(self.entries, key=lambda e: e.rank_key))
 
     @property

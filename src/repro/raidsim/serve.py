@@ -154,7 +154,13 @@ class ServeComparison:
 
     @property
     def makespan_speedup(self) -> float:
-        """Traditional over shifted rebuild makespan (>1 favours shifted)."""
+        """Traditional over shifted rebuild makespan (>1 favours shifted).
+
+        ``NaN`` when either rebuild is unverified — an aborted rebuild
+        never verifies — since its makespan is no rebuild time.
+        """
+        if not (self.traditional.rebuild_verified and self.shifted.rebuild_verified):
+            return float("nan")
         s = self.shifted.rebuild_makespan_s
         if s <= 0:
             return float("inf")

@@ -16,8 +16,6 @@ unlikely.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 __all__ = [
@@ -32,28 +30,24 @@ __all__ = [
 DEFAULT_PAYLOAD_BYTES = 64
 
 
-@lru_cache(maxsize=131072)
 def _element_payload(seed: int, payload_bytes: int, stripe: int, i: int, j: int) -> np.ndarray:
-    """Memoised element payload — shared across all equal-seed sources.
+    """The payload of element ``(stripe, i, j)``: the film's definition.
 
     Spinning up a fresh :class:`numpy.random.Generator` costs tens of
-    microseconds; a campaign builds many controllers over the *same*
-    film, so without the memo content initialisation dominated large
-    sweeps.  The cached array is marked read-only: callers copy it into
-    their content stores (plain ndarray assignment), never mutate it.
+    microseconds, so each process generates an element once, into its
+    film block (see :meth:`FilmSource.block`).
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, stripe, i, j]))
-    payload = rng.integers(0, 256, payload_bytes, dtype=np.uint8)
-    payload.setflags(write=False)
-    return payload
+    return rng.integers(0, 256, payload_bytes, dtype=np.uint8)
 
 
-#: pre-materialised film blocks keyed ``(seed, payload_bytes)`` — a
-#: ``(stripes, i, j, payload)`` uint8 array consulted before the
-#: per-element generator.  Typically backed by a
-#: ``multiprocessing.shared_memory`` buffer exported to pool workers by
-#: :class:`repro.parallel.WorkerPool`, so content generation happens
-#: once per machine instead of once per process.
+#: materialised film blocks keyed ``(seed, payload_bytes)`` — one
+#: ``(stripes, i, j, payload)`` uint8 array per film, which serves every
+#: payload lookup.  :meth:`FilmSource.block` grows it to the largest
+#: request; :class:`repro.parallel.WorkerPool` may register one backed
+#: by a ``multiprocessing.shared_memory`` buffer exported to its
+#: workers, so content generation happens once per machine instead of
+#: once per process.
 _shared_films: dict[tuple[int, int], np.ndarray] = {}
 #: worker-side SharedMemory handles, kept alive for the process lifetime
 _shared_handles: list = []
@@ -70,24 +64,28 @@ def build_film_block(
     """Materialise a whole film into one ``(stripes, i, j, payload)`` array.
 
     Every cell is byte-identical to what :meth:`FilmSource.element`
-    would generate on demand — this is the content that gets computed
-    once and shared, not a different film.
+    returns — this is the content that gets computed once and shared,
+    not a different film.
     """
     if out is None:
         out = np.empty((n_stripes, n_i, n_j, payload_bytes), dtype=np.uint8)
-    for stripe in range(n_stripes):
-        for i in range(n_i):
-            for j in range(n_j):
-                out[stripe, i, j] = _element_payload(seed, payload_bytes, stripe, i, j)
+    return _fill(out, seed, (0, 0, 0))
+
+
+def _fill(out: np.ndarray, seed: int, have: tuple[int, int, int]) -> np.ndarray:
+    """Generate every cell of ``out`` outside its ``have`` corner."""
+    for stripe, i, j in np.ndindex(*out.shape[:3]):
+        if stripe >= have[0] or i >= have[1] or j >= have[2]:
+            out[stripe, i, j] = _element_payload(seed, out.shape[3], stripe, i, j)
     return out
 
 
 def register_shared_film(seed: int, payload_bytes: int, block: np.ndarray) -> None:
     """Serve ``(seed, payload_bytes)`` lookups from a pre-built block.
 
-    Out-of-range coordinates still fall back to the per-element
-    generator, so a block sized for one campaign never changes the
-    content of a larger one.
+    A lookup past the block grows a copy of it with the same generator
+    (:meth:`FilmSource.block`), so a block sized for one campaign never
+    changes the content of a larger one.
     """
     block.setflags(write=False)
     _shared_films[(seed, payload_bytes)] = block
@@ -135,18 +133,34 @@ class FilmSource:
     def element(self, stripe: int, i: int, j: int) -> np.ndarray:
         """The payload of data element ``a[i, j]`` of ``stripe``.
 
-        Served from a registered shared block when one covers the
-        coordinates (see :func:`register_shared_film`), otherwise
-        generated and memoised per element — the bytes are identical
-        either way.  The returned array is read-only; copy before
-        mutating (ndarray assignment into a content store copies).
+        A read-only view into the film's block (see :meth:`block`);
+        copy before mutating (ndarray assignment into a content store
+        copies).
         """
-        block = _shared_films.get((self.seed, self.payload_bytes))
-        if block is not None and (
-            stripe < block.shape[0] and i < block.shape[1] and j < block.shape[2]
-        ):
-            return block[stripe, i, j]
-        return _element_payload(self.seed, self.payload_bytes, stripe, i, j)
+        return self.block(stripe + 1, i + 1, j + 1)[stripe, i, j]
+
+    def block(self, n_stripes: int, n_i: int, n_j: int) -> np.ndarray:
+        """Payloads of the first ``n_stripes x n_i x n_j`` data elements.
+
+        A read-only ``(stripes, i, j, payload)`` view whose cell
+        ``[s, i, j]`` holds the payload of element ``(s, i, j)``.  It is
+        a slice of the film's registered block, grown to cover the
+        request when it reaches past it: the held bytes are kept and
+        only the new cells generated, so a process keeps one block per
+        ``(seed, payload)``, sized to its largest request.
+        """
+        key = (self.seed, self.payload_bytes)
+        held = _shared_films.get(key)
+        want = (n_stripes, n_i, n_j)
+        if held is None or any(w > h for w, h in zip(want, held.shape)):
+            have = held.shape[:3] if held is not None else (0, 0, 0)
+            shape = tuple(max(w, h) for w, h in zip(want, have))
+            grown = np.empty(shape + (self.payload_bytes,), dtype=np.uint8)
+            if held is not None:
+                grown[: have[0], : have[1], : have[2]] = held
+            held = _fill(grown, self.seed, have)
+            register_shared_film(self.seed, self.payload_bytes, held)
+        return held[:n_stripes, :n_i, :n_j]
 
     def fresh(self, rng: np.random.Generator) -> np.ndarray:
         """A new payload for an overwriting user write."""

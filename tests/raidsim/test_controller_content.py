@@ -8,10 +8,12 @@ import pytest
 from repro.core.layouts import (
     RAID5Layout,
     RAID6Layout,
+    XCodeLayout,
     shifted_mirror,
     shifted_mirror_parity,
     traditional_mirror_parity,
 )
+from repro.core.registry import REGISTRY, build_layout
 from repro.raidsim.controller import RaidController
 
 
@@ -76,10 +78,54 @@ def test_rotation_moves_physical_placement():
     assert ctrl.verify_redundancy()  # content placed consistently
 
 
+#: every content kind each registered layout stores, named by role:
+#: a flip in any of them must fail the redundancy check
+_CELL_ROLES = {
+    "mirror": {"data", "replica"},
+    "shifted-mirror": {"data", "replica"},
+    "group-rotated-mirror": {"data", "replica"},
+    "declustered-mirror": {"data", "replica"},
+    "mirror-parity": {"data", "replica", "xor-parity"},
+    "shifted-mirror-parity": {"data", "replica", "xor-parity"},
+    "three-mirror": {"data", "replica"},
+    "shifted-three-mirror": {"data", "replica"},
+    "raid5": {"data", "xor-parity"},
+    "raid6-evenodd": {"data", "raid6-p", "raid6-q"},
+    "raid6-rdp": {"data", "raid6-p", "raid6-q"},
+    "rebuild-optimal-rdp": {"data", "raid6-p", "raid6-q"},
+    "xcode": {"data", "xcode-diagonal", "xcode-anti-diagonal"},
+}
+
+
+def _role(layout, disk: int, row: int) -> str:
+    kind = layout.content(disk, row).kind
+    if kind in ("data", "replica"):
+        return kind
+    if isinstance(layout, XCodeLayout):
+        return "xcode-diagonal" if kind == "parity" else "xcode-anti-diagonal"
+    if isinstance(layout, RAID6Layout):
+        return "raid6-p" if kind == "parity" else "raid6-q"
+    return "xor-parity"
+
+
 def test_corruption_detected_by_verify():
-    ctrl = _ctrl(shifted_mirror_parity(3))
-    ctrl.content[0, 0, 0] ^= 0xFF
-    assert not ctrl.verify_redundancy()
+    """One flipped byte in *any* cell of any registered layout fails the
+    check, and restoring it passes again."""
+    assert set(_CELL_ROLES) == set(REGISTRY)
+    for name, spec in REGISTRY.items():
+        layout = build_layout(name, max(3, spec.min_n))
+        ctrl = _ctrl(layout, n_stripes=2, rotate=True)
+        roles = set()
+        for stripe in range(ctrl.n_stripes):
+            for disk in range(layout.n_disks):
+                for row in range(layout.rows):
+                    pd, slot = ctrl.place(stripe, (disk, row))
+                    ctrl.content[pd, slot, 3] ^= 0x10
+                    assert not ctrl.verify_redundancy(), (name, stripe, disk, row)
+                    ctrl.content[pd, slot, 3] ^= 0x10
+                    assert ctrl.verify_redundancy(), (name, stripe, disk, row)
+                    roles.add(_role(layout, disk, row))
+        assert roles == _CELL_ROLES[name], name
 
 
 def test_raid6_corruption_detected():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -434,3 +436,50 @@ def test_rebuild_heals_lses_on_the_rebuilt_column():
     assert result.fault_stats.healed_lses == 1
     assert not ctrl.lse.is_bad(0, 3)
     assert ctrl.lse.is_bad(N + 2, 5)
+
+
+def _campaign_run(makespan_s: float, aborted: bool = False, verified: bool = True):
+    from types import SimpleNamespace
+
+    from repro.raidsim.campaign import CampaignRun
+
+    rebuild = SimpleNamespace(makespan_s=makespan_s, aborted=aborted, verified=verified)
+    return CampaignRun("layout", SimpleNamespace(rebuild=rebuild), 1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "trad, shif",
+    [
+        (dict(aborted=True, verified=False), {}),
+        ({}, dict(aborted=True, verified=False)),
+        (dict(verified=False), {}),
+        ({}, dict(verified=False)),
+        (dict(aborted=True), dict(aborted=True)),
+    ],
+)
+def test_makespan_speedup_undefined_unless_both_rebuilds_completed(trad, shif):
+    """An aborted or unverified rebuild's makespan is no rebuild time."""
+    from repro.raidsim.campaign import CampaignComparison
+
+    cmp_ = CampaignComparison(_campaign_run(4.0, **trad), _campaign_run(2.0, **shif))
+    assert math.isnan(cmp_.makespan_speedup)
+    done = CampaignComparison(_campaign_run(4.0), _campaign_run(2.0))
+    assert done.makespan_speedup == 2.0
+
+
+def test_double_failure_on_two_disk_mirror_yields_no_speedup():
+    """Both mirror arrangements lose columns when a second disk dies
+    mid-rebuild at n = 2; the comparison must not report a ratio."""
+    plan_time = 0.5 * clean_rebuild_makespan(traditional_mirror(2), (0,), n_stripes=12)
+    plan = default_fault_plan(
+        4, seed=2012, second_failure_disk=2, second_failure_time_s=plan_time
+    )
+    cmp_ = compare_arrangements(
+        lambda: traditional_mirror(2),
+        lambda: shifted_mirror(2),
+        plan,
+        failed_disks=(0,),
+        n_stripes=12,
+    )
+    assert cmp_.traditional.rebuild.aborted and cmp_.shifted.rebuild.aborted
+    assert math.isnan(cmp_.makespan_speedup)

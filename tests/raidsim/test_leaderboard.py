@@ -44,9 +44,14 @@ def test_ranking_is_sorted_by_the_rank_key():
     keys = [e.rank_key for e in ranked]
     assert keys == sorted(keys)
     assert result.ranking == tuple(e.layout for e in ranked)
-    # availability is the leading criterion: never increasing down the table
-    avails = [e.availability for e in ranked]
-    assert avails == sorted(avails, reverse=True)
+    # completed rebuilds lead, then availability: within each group it
+    # never increases down the table
+    for done in (True, False):
+        avails = [
+            e.availability for e in ranked
+            if (e.rebuild_verified and not e.rebuild_aborted) is done
+        ]
+        assert avails == sorted(avails, reverse=True)
 
 
 def test_every_entry_faced_the_identical_arrival_stream():
@@ -96,3 +101,26 @@ def test_serial_vs_worker_pool_bit_identity(seed):
         pooled = run_leaderboard(config, pool=pool)
     assert serial.entries == pooled.entries
     assert serial.ranking == pooled.ranking
+
+
+def _entry(layout: str, availability: float, aborted=False, verified=True):
+    from repro.raidsim.leaderboard import LeaderboardEntry
+
+    return LeaderboardEntry(
+        layout=layout, description="", n_disks=4, fault_tolerance=1,
+        storage_efficiency=0.5, availability=availability,
+        rebuild_makespan_s=1.0, degraded_p99_ms=10.0, data_survival=1.0,
+        served=10, failed_reads=0, degraded_reads=0,
+        rebuild_verified=verified, rebuild_aborted=aborted,
+    )
+
+
+@pytest.mark.parametrize(
+    "flags", [dict(aborted=True, verified=False), dict(verified=False), dict(aborted=True)]
+)
+def test_incomplete_rebuild_ranks_below_every_completed_one(flags):
+    """A higher availability never lifts a rebuild that did not restore
+    the data above one that did."""
+    done = _entry("done", availability=0.5)
+    broken = _entry("broken", availability=1.0, **flags)
+    assert sorted([broken, done], key=lambda e: e.rank_key) == [done, broken]

@@ -153,3 +153,16 @@ def test_timeseries_is_empty_with_observability_off():
         set_obs_enabled(old)
     assert r.timeseries == {}
     assert r.overlays  # overlay bands are plain data, recorder or not
+
+
+def test_makespan_speedup_undefined_for_an_unverified_rebuild(baseline):
+    """An unverified rebuild's makespan is no rebuild time: no ratio."""
+    from dataclasses import replace
+
+    from repro.raidsim.serve import ServeComparison
+
+    assert math.isfinite(baseline.makespan_speedup)
+    bad_shifted = replace(baseline.shifted, rebuild_verified=False)
+    bad_trad = replace(baseline.traditional, rebuild_verified=False)
+    assert math.isnan(ServeComparison(baseline.traditional, bad_shifted).makespan_speedup)
+    assert math.isnan(ServeComparison(bad_trad, baseline.shifted).makespan_speedup)

@@ -482,3 +482,24 @@ def test_obs_report_renders_leaderboard_json(capsys, tmp_path):
     assert rc == 0
     assert "wrote dashboard report" in out
     assert "declustered-mirror" in out_path.read_text()
+
+
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_faultcampaign_rejects_non_positive_seeds(capsys, seeds):
+    """A sweep of zero storms used to run one storm silently."""
+    with pytest.raises(SystemExit) as exc:
+        main(["faultcampaign", "--n", "3", "--stripes", "3", "--seeds", seeds])
+    assert exc.value.code == 2
+    assert "argument --seeds: must be >= 1" in capsys.readouterr().err
+
+
+def test_faultcampaign_aborted_rebuilds_print_no_speedup(capsys, tmp_path):
+    """At n = 2 the second failure aborts both rebuilds: no ratio."""
+    import json
+
+    out_path = tmp_path / "campaign.json"
+    rc, out = run_cli(capsys, "faultcampaign", "--n", "2", "--json", str(out_path))
+    assert rc == 0
+    assert out.count("aborted: True") == 2
+    assert "rebuild speedup:       nan" in out
+    assert json.loads(out_path.read_text())["makespan_speedup"] is None

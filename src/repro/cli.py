@@ -33,6 +33,12 @@ from .core.registry import (
 
 __all__ = ["main", "build_layout", "LAYOUTS"]
 
+#: ids of the experiments ``repro experiments`` runs, in paper order
+EXPERIMENT_IDS = (
+    "table1", "fig7", "fig8", "fig9a", "fig9b", "fig10a", "fig10b",
+    "ext-three-mirror", "ext-lse", "ext-raid6",
+)
+
 
 # ======================================================================
 # subcommands
@@ -86,11 +92,22 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_write_plan(args: argparse.Namespace) -> int:
     layout = build_layout(args.layout, args.n)
+    data_rows = layout.content_table.data_rows
     if args.row is not None:
+        if not 0 <= args.row < data_rows:
+            raise ValueError(
+                f"--row {args.row} outside 0..{data_rows - 1} for {layout.name} n={layout.n}"
+            )
         plan = layout.large_write_plan(args.row, strategy=args.strategy)
         what = f"full row {args.row}"
     else:
         cells = [tuple(map(int, e.split(","))) for e in args.element]
+        for i, j in cells:
+            if not (0 <= i < layout.n and 0 <= j < data_rows):
+                raise ValueError(
+                    f"--element {i},{j} outside the data cells "
+                    f"0..{layout.n - 1},0..{data_rows - 1} of {layout.name} n={layout.n}"
+                )
         plan = layout.write_plan(cells, strategy=args.strategy)
         what = f"elements {cells}"
     print(f"{layout.name}: write of {what} ({args.strategy})")
@@ -230,15 +247,21 @@ def _finite(x: float) -> float | None:
     return x if math.isfinite(x) else None
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_in(lo: int, hi: int | None = None):
+    """argparse type for an int in ``lo..hi`` (unbounded above without ``hi``)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if hi is None and value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        if hi is not None and not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"must be in {lo}..{hi}, got {value}")
+        return value
+
+    return parse
 
 
 def _ratio_text(x: float) -> str:
@@ -703,7 +726,7 @@ def _add_obs_args(p: argparse.ArgumentParser) -> None:
              "histograms) to FILE.json; implies observability on",
     )
     p.add_argument(
-        "--metrics-port", metavar="PORT", type=int, default=None,
+        "--metrics-port", metavar="PORT", type=_int_in(0, 65535), default=None,
         help="serve the live metrics registry in Prometheus text "
              "format on http://127.0.0.1:PORT/metrics for the "
              "duration of the command (0 picks a free port); "
@@ -758,15 +781,15 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--failed", type=int, nargs="+", default=[0])
     p.add_argument("--stripes", type=int, default=16)
-    p.add_argument("--ops", type=int, default=200)
+    p.add_argument("--ops", type=_int_in(1), default=200)
     p.add_argument("--seed", type=int, default=42)
     _add_obs_args(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("experiments", help="regenerate the paper's tables/figures")
     p.add_argument("--quick", action="store_true")
-    p.add_argument("--only", nargs="+", metavar="ID",
-                   help="restrict to experiment ids (table1 fig7 fig8 fig9a fig9b fig10a fig10b ext-three-mirror)")
+    p.add_argument("--only", nargs="+", metavar="ID", choices=EXPERIMENT_IDS,
+                   help=f"restrict to experiment ids ({' '.join(EXPERIMENT_IDS)})")
     p.add_argument("--jobs", type=int, default=None,
                    help="fan experiments across this many processes (0 = all cores)")
     _add_obs_args(p)
@@ -808,7 +831,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="second failure as a fraction of the clean rebuild "
                         "makespan (negative or omitted value disables)")
     p.add_argument("--rate", type=float, default=30.0, help="user reads per second")
-    p.add_argument("--seeds", type=_positive_int, default=1,
+    p.add_argument("--seeds", type=_int_in(1), default=1,
                    help="run a sweep of this many independent seeded storms "
                         "(derived from --seed via SeedSequence.spawn); "
                         "the second-failure knobs apply to single runs only")

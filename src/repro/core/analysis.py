@@ -13,11 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..codes.evenodd import smallest_prime_at_least
-from .layouts import (
-    MirrorParityLayout,
-    shifted_mirror_parity,
-    traditional_mirror_parity,
-)
+from .layouts import MirrorParityLayout
 
 __all__ = [
     "Table1Row",
@@ -272,13 +268,3 @@ def large_write_accesses(layout, j: int = 0) -> int:
     canonical counterexample.
     """
     return layout.large_write_plan(j).num_write_accesses
-
-
-# ======================================================================
-# Convenience: direct construction of the compared layouts
-# ======================================================================
-
-
-def compared_parity_layouts(n: int) -> tuple[MirrorParityLayout, MirrorParityLayout]:
-    """The (traditional, shifted) mirror-with-parity pair for size n."""
-    return traditional_mirror_parity(n), shifted_mirror_parity(n)

@@ -126,10 +126,6 @@ class ReconstructionPlan:
     def total_elements_read(self) -> int:
         return sum(len(rows) for rows in self.reads.values())
 
-    @property
-    def recovered_targets(self) -> list[tuple[int, int]]:
-        return [s.target for s in self.steps]
-
     def reads_per_disk(self) -> dict[int, int]:
         return {disk: len(rows) for disk, rows in self.reads.items()}
 

@@ -49,7 +49,6 @@ __all__ = [
     "build_layout",
     "comparison_pair",
     "comparison_families",
-    "shifted_variant_name",
     "leaderboard_layouts",
 ]
 
@@ -217,19 +216,6 @@ def comparison_pair(family: str) -> tuple[str, str]:
 def comparison_families() -> list[str]:
     """Sorted names of every declared comparison family."""
     return sorted(COMPARISONS)
-
-
-def shifted_variant_name(family: str) -> str:
-    """The shifted counterpart of a traditional family name.
-
-    Back-compat shim for the paper's three original families; new code
-    should use :func:`comparison_pair`, which also covers families
-    whose variant is not named ``shifted-*``.
-    """
-    name = f"shifted-{family}"
-    if name not in LAYOUTS:
-        raise ValueError(f"family {family!r} has no shifted variant in the registry")
-    return name
 
 
 def leaderboard_layouts(n: int) -> list[str]:

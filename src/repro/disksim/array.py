@@ -26,15 +26,10 @@ layers perform.  Consequences callers must honour:
 * :meth:`BatchSubmission.op_requests` maps every submitted operation
   (in input order) to the request that covers it, for callers that do
   need per-operation attribution.
-
-The batch path can be globally disabled (``REPRO_BATCH=0`` or
-:func:`set_batch_enabled`) to fall back to the per-element Python
-loop; ``benchmarks/perfbench.py --no-batch`` uses this for ablation.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable
 
 import numpy as np
@@ -50,8 +45,6 @@ __all__ = [
     "ElementArray",
     "BatchSubmission",
     "DEFAULT_ELEMENT_SIZE",
-    "set_batch_enabled",
-    "batch_enabled",
 ]
 
 _MB = 1024 * 1024
@@ -73,27 +66,6 @@ def _resolve_numpy_min_ops() -> int:
 
         _numpy_min_ops = batch_threshold()
     return _numpy_min_ops
-
-_batch_enabled = os.environ.get("REPRO_BATCH", "1") != "0"
-
-
-def set_batch_enabled(enabled: bool) -> bool:
-    """Toggle the vectorized batch path globally; returns the old value.
-
-    With the path disabled every submission runs the per-element Python
-    loop the seed engine used — the ablation switch behind
-    ``perfbench --no-batch`` and the ``REPRO_BATCH=0`` environment
-    variable.  Coalescing semantics are identical either way.
-    """
-    global _batch_enabled
-    old = _batch_enabled
-    _batch_enabled = bool(enabled)
-    return old
-
-
-def batch_enabled() -> bool:
-    """Whether the vectorized batch path is currently enabled."""
-    return _batch_enabled
 
 
 class BatchSubmission(list):
@@ -190,10 +162,8 @@ class ElementArray:
         Disks in the array (the architecture's global disk count).
     element_size:
         Bytes per element; offset of slot ``k`` is ``k * element_size``.
-    params, scheduler_factory, calendar:
-        Forwarded to the underlying :class:`Simulation` (``calendar``
-        picks the event-calendar implementation, overriding
-        ``REPRO_CALENDAR``).
+    params, scheduler_factory, faults, tracer:
+        Forwarded to the underlying :class:`Simulation`.
     """
 
     def __init__(
@@ -204,7 +174,6 @@ class ElementArray:
         scheduler_factory: Callable[[], Scheduler] = ElevatorScheduler,
         faults=None,
         tracer=None,
-        calendar: str | None = None,
     ) -> None:
         if element_size <= 0:
             raise ValueError(f"element size must be positive, got {element_size}")
@@ -215,7 +184,6 @@ class ElementArray:
             scheduler_factory=scheduler_factory,
             faults=faults,
             tracer=tracer,
-            calendar=calendar,
         )
         self._obs = _ArrayObs() if obs_enabled() else None
 
@@ -310,9 +278,7 @@ class ElementArray:
 
         Large batches coalesce with numpy array ops (lexsort + segmented
         running-max); small ones use a tuned scalar loop that beats
-        numpy's fixed per-call overhead.  ``REPRO_BATCH=0`` (or
-        :func:`set_batch_enabled`) forces the scalar loop with
-        per-request engine submission — the ablation baseline.
+        numpy's fixed per-call overhead; both produce the same runs.
         """
         m = len(disks)
         if len(slots) != m or (n_elements is not None and len(n_elements) != m):
@@ -320,7 +286,7 @@ class ElementArray:
         threshold = _numpy_min_ops
         if threshold is None:
             threshold = _resolve_numpy_min_ops()
-        use_numpy = _batch_enabled and m >= threshold
+        use_numpy = m >= threshold
         if use_numpy:
             runs, op_req = self._coalesce_numpy(disks, slots, n_elements)
         else:
@@ -347,11 +313,7 @@ class ElementArray:
             cb = _BatchGroup(len(requests), callback, on_complete)
         else:
             cb = callback
-        if _batch_enabled:
-            self.sim.submit_many(requests, cb)
-        else:
-            for r in requests:
-                self.sim.submit(r, cb)
+        self.sim.submit_many(requests, cb)
         return submission
 
     def _coalesce_scalar(self, disks, slots, n_elements):

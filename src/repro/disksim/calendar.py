@@ -24,19 +24,16 @@ Storage
 Pending events are kept in a binary heap of ``(time, seq, opcode,
 arg0)`` scalar tuples.  The numpy structured form (:data:`EVENT_DTYPE`)
 is the calendar's *bulk* representation: :meth:`TypedCalendar.records`
-materialises the pending set as a sorted structured array, and
-:meth:`TypedCalendar.drain_completions` hands the engine's vectorized
-drain its seed arrays.  The pending set itself stays a scalar heap
+materialises the pending set as a sorted structured array for
+diagnostics and tests.  The pending set itself stays a scalar heap
 deliberately — the calendar is shallow (one ``OP_COMPLETE`` per busy
 disk plus a handful of deferred calls), and per-event numpy element
 ops on a ~10-entry array measure ~80x slower than ``heappush`` /
-``heappop``; the array form pays off only for whole-calendar batch
-operations, which is exactly where the engine uses it (see
-``docs/performance.md``).
+``heappop``.
 
 Determinism: ``seq`` is globally unique and monotone, so heap
-comparisons never reach the opcode and ties break exactly as the
-legacy tuple calendar broke them.
+comparisons never reach the opcode and ties break exactly as a plain
+``(time, seq, action, args)`` tuple heap breaks them.
 """
 
 from __future__ import annotations
@@ -76,21 +73,16 @@ class TypedCalendar:
     * :meth:`peek_time` — earliest pending time (``None`` when empty);
     * :meth:`pop_batch` — remove and return *every* event sharing the
       earliest timestamp, in ``seq`` order;
-    * :meth:`call_count` — how many pending events are ``OP_CALL``
-      (zero means the calendar holds only completions, the
-      precondition for the engine's vectorized drain);
-    * :meth:`drain_completions` — empty the calendar into numpy seed
-      arrays (completions only);
+    * :meth:`take_call` — claim the callable behind an ``OP_CALL``;
     * :meth:`records` — the pending set as a sorted
       :data:`EVENT_DTYPE` structured array (diagnostics/tests).
     """
 
-    __slots__ = ("_heap", "_calls", "_n_call")
+    __slots__ = ("_heap", "_calls")
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, int, int]] = []
         self._calls: dict[int, tuple[Callable[..., None], tuple]] = {}
-        self._n_call = 0
 
     # ------------------------------------------------------------------
     def push(self, time: float, seq: int, opcode: int, arg0: int = 0) -> None:
@@ -102,22 +94,15 @@ class TypedCalendar:
     ) -> None:
         """Schedule an arbitrary callable (the ``OP_CALL`` escape hatch)."""
         self._calls[seq] = (action, args)
-        self._n_call += 1
         heappush(self._heap, (time, seq, OP_CALL, 0))
 
     def take_call(self, seq: int) -> tuple[Callable[..., None], tuple]:
         """Claim (and forget) the callable behind an ``OP_CALL`` event."""
-        self._n_call -= 1
         return self._calls.pop(seq)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._heap)
-
-    @property
-    def call_count(self) -> int:
-        """Pending ``OP_CALL`` events (0 ⇒ completions only)."""
-        return self._n_call
 
     def peek_time(self) -> float | None:
         """Earliest pending event time, or ``None`` when empty."""
@@ -128,7 +113,7 @@ class TypedCalendar:
         """Remove and return the whole earliest-timestamp batch.
 
         Events sharing the minimum time come back in ``seq`` order —
-        exactly the order the legacy calendar popped them one by one.
+        exactly the order a plain tuple heap pops them one by one.
         """
         heap = self._heap
         if not heap:
@@ -144,9 +129,12 @@ class TypedCalendar:
     def drain_completions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Empty the calendar into ``(times, seqs, disks)`` seed arrays.
 
-        Preconditions (the engine checks them): every pending event is
-        ``OP_COMPLETE``.  The returned arrays are sorted by
-        ``(time, seq)`` — the order the events would have popped in.
+        Every pending event must be ``OP_COMPLETE``.  The returned
+        arrays are sorted by ``(time, seq)`` — the order the events
+        would have popped in.  The engine never calls this; it stays
+        because the benchmark's per-layer span table wraps it by name
+        (its ``disksim.drain_fast`` span), and that table would break
+        without it.
         """
         events = sorted(self._heap)
         self._heap.clear()

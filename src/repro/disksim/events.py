@@ -8,31 +8,19 @@ pipelines).
 
 The engine is deterministic: ties are broken by event sequence number.
 
-Calendars
----------
-Two interchangeable event calendars drive the clock (select with the
-``calendar=`` argument or ``REPRO_CALENDAR``):
-
-* ``"typed"`` (default) — the opcode calendar of
-  :mod:`repro.disksim.calendar`: completions are integer-payload
-  events dispatched through a two-entry opcode table, the run loop
-  pops whole same-timestamp batches, and — when the pending set is
-  completions only, with no callbacks and no fault hooks — the engine
-  leaves the per-event loop entirely and computes every disk's
-  remaining timeline vectorized (:meth:`Simulation._drain_fast`);
-* ``"heapq"`` — the legacy ``(time, seq, action, args)`` tuple heap,
-  kept for A/B ablation.  Both calendars produce bit-identical
-  results (completion order, clock, busy time, traces); the property
-  suite in ``tests/disksim/test_calendar_property.py`` pins this.
+The clock is driven by the opcode calendar of
+:mod:`repro.disksim.calendar`: completions are integer-payload events
+dispatched through a two-entry opcode table, deferred calls
+(``schedule_call``, ``submit_at``) ride the ``OP_CALL`` side table, and
+the run loop pops whole same-timestamp batches.  A ``(time, seq,
+action, args)`` tuple-heap engine is kept in the test suite as the
+reference oracle; ``tests/disksim/test_calendar_property.py`` pins the
+two to bit-identical completion order, clocks, busy times and traces.
 """
 
 from __future__ import annotations
 
-import heapq
-import os
 from typing import Callable
-
-import numpy as np
 
 from ..obs import default_recorder, default_registry, default_tracer, obs_enabled
 from ..obs.tracing import Tracer
@@ -44,8 +32,6 @@ from .scheduler import ElevatorScheduler, Scheduler
 __all__ = ["Simulation"]
 
 Callback = Callable[[IORequest], None]
-
-_MB = 1024 * 1024
 
 
 class _SimObs:
@@ -131,83 +117,23 @@ class _SimObs:
         self.qd[request.disk].set(len(server.scheduler))
         group = self.group
         if group is not None:
-            self.trace_complete(group, request)
-
-    def trace_complete(self, group, request: IORequest) -> None:
-        """Emit one request's completed span (shared with the drain path)."""
-        args = {
-            "kind": request.kind.value,
-            "tag": request.tag,
-            "attempt": request.attempt,
-            "priority": request.priority,
-            "bytes": request.size,
-        }
-        if request.error:
-            args["error"] = request.error_kind
-        group.complete(
-            request.tag or request.kind.value,
-            request.start_time,
-            request.finish_time - request.start_time,
-            pid=request.disk,
-            cat="io",
-            **args,
-        )
-
-    def on_drain(
-        self,
-        completed: list[IORequest],
-        n_writes: int,
-        bytes_written: int,
-        bytes_total: int,
-    ) -> None:
-        """Batched equivalent of per-completion :meth:`on_complete`.
-
-        Updates every instrument to the value the per-event loop would
-        have left it at: counters take one ``inc`` per label, the
-        latency histogram takes one vectorized ``observe_many`` (bucket
-        counts identical, running sum accumulated in the same order),
-        queue-depth gauges land on the final depth (0 — the drain ran
-        to quiescence), and traces are emitted per request in
-        completion order.  The read/write counts and byte totals arrive
-        pre-aggregated from the drain's service-time vectorization —
-        they are order-independent, so no second pass over the batch is
-        needed.
-        """
-        n = len(completed)
-        if not n:
-            return
-        if n_writes:
-            self.writes.inc(n_writes)
-            self.bytes_written.inc(bytes_written)
-        if n_writes < n:
-            self.reads.inc(n - n_writes)
-            self.bytes_read.inc(bytes_total - bytes_written)
-        n_errors = 0
-        n_retries = 0
-        for r in completed:
-            if r.error:
-                n_errors += 1
-            if r.attempt:
-                n_retries += 1
-        if n_errors:
-            self.errors.inc(n_errors)
-        if n_retries:
-            self.retries.inc(n_retries)
-        self.latency.observe_many(
-            np.fromiter((r.finish_time - r.submit_time for r in completed), np.float64, n)
-        )
-        ts = self.ts_latency
-        if ts is not None:
-            # completion order == per-event-loop order, so window
-            # assignment (and hence the snapshot) stays bit-identical
-            # between the drain path and the per-event path
-            for r in completed:
-                ts.observe(r.finish_time, r.finish_time - r.submit_time)
-        group = self.group
-        if group is not None:
-            trace_complete = self.trace_complete
-            for r in completed:
-                trace_complete(group, r)
+            args = {
+                "kind": request.kind.value,
+                "tag": request.tag,
+                "attempt": request.attempt,
+                "priority": request.priority,
+                "bytes": request.size,
+            }
+            if request.error:
+                args["error"] = request.error_kind
+            group.complete(
+                request.tag or request.kind.value,
+                request.start_time,
+                request.finish_time - request.start_time,
+                pid=request.disk,
+                cat="io",
+                **args,
+            )
 
 
 class _DiskServer:
@@ -235,11 +161,12 @@ class Simulation:
     scheduler_factory:
         Zero-argument callable producing a fresh scheduler per disk;
         defaults to the elevator.
-    calendar:
-        ``"typed"`` (opcode calendar with the vectorized drain path,
-        the default) or ``"heapq"`` (the legacy tuple calendar, kept
-        for A/B ablation).  ``None`` defers to ``REPRO_CALENDAR``.
     """
+
+    #: the event calendar driving the engine — a constant since the
+    #: engine has a single calendar; benchmark run fingerprints still
+    #: record it, so records from before and after compare as like
+    calendar_kind = "typed"
 
     def __init__(
         self,
@@ -248,7 +175,6 @@ class Simulation:
         scheduler_factory: Callable[[], Scheduler] = ElevatorScheduler,
         faults=None,
         tracer=None,
-        calendar: str | None = None,
         recorder=None,
     ) -> None:
         if n_disks < 1:
@@ -268,21 +194,7 @@ class Simulation:
             for d in range(n_disks)
         ]
         self.now: float = 0.0
-        kind = (
-            calendar
-            if calendar is not None
-            else os.environ.get("REPRO_CALENDAR", "typed")
-        )
-        if kind not in ("typed", "heapq"):
-            raise ValueError(
-                f"unknown calendar kind {kind!r} (expected 'typed' or 'heapq')"
-            )
-        #: which calendar drives this simulation: ``"typed"`` or ``"heapq"``
-        self.calendar_kind = kind
-        self._cal: TypedCalendar | None = (
-            TypedCalendar() if kind == "typed" else None
-        )
-        self._events: list[tuple[float, int, Callable[..., None], tuple]] = []
+        self._cal = TypedCalendar()
         self._seq = 0
         self.completed: list[IORequest] = []
         self._callbacks: dict[int, Callback] = {}
@@ -304,8 +216,7 @@ class Simulation:
         #: process default applies — which is ``None`` under
         #: ``REPRO_OBS=0``, so recording is skipped entirely.  The
         #: engine advances the recorder's windows once per ``run()``
-        #: call (in the instrumented loops' finally blocks; the bare
-        #: heapq loop never carries a recorder).
+        #: call, in the run loop's finally block.
         if recorder is False:
             self.recorder = None
         elif recorder is not None:
@@ -325,19 +236,15 @@ class Simulation:
         """Run ``action(*args)`` ``delay`` seconds from now.
 
         Passing the arguments through the event instead of a closure
-        keeps hot paths allocation-light.  On the typed calendar this
-        is the fully general ``OP_CALL`` escape hatch (the callable
-        lives in a side table); completions scheduled by the engine
-        itself take the integer-payload fast path.
+        keeps hot paths allocation-light.  This is the calendar's fully
+        general ``OP_CALL`` escape hatch (the callable lives in a side
+        table); completions scheduled by the engine itself take the
+        integer-payload fast path.
         """
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
         self._seq += 1
-        cal = self._cal
-        if cal is None:
-            heapq.heappush(self._events, (self.now + delay, self._seq, action, args))
-        else:
-            cal.push_call(self.now + delay, self._seq, action, args)
+        self._cal.push_call(self.now + delay, self._seq, action, args)
 
     def submit(self, request: IORequest, callback: Callback | None = None) -> None:
         """Enqueue a request on its disk, starting service if idle."""
@@ -417,13 +324,7 @@ class Simulation:
         server.busy = True
         server.current = request
         self._seq += 1
-        cal = self._cal
-        if cal is None:
-            heapq.heappush(
-                self._events, (finish, self._seq, self._complete, (server, request))
-            )
-        else:
-            cal.push(finish, self._seq, OP_COMPLETE, request.disk)
+        self._cal.push(finish, self._seq, OP_COMPLETE, request.disk)
 
     def _complete(self, server: _DiskServer, request: IORequest) -> None:
         server.busy = False
@@ -445,69 +346,9 @@ class Simulation:
         The clock is monotone: ``until`` earlier than ``now`` is a no-op
         (time never moves backwards), and an idle engine still advances
         to ``until`` — ``run(until=t)`` on an empty calendar models
-        waiting out wall-clock time with no I/O in flight.
-        """
-        if self._cal is not None:
-            return self._run_typed(until)
-        # the legacy heapq dispatch loop exists twice: the bare body
-        # below, and an instrumented twin that additionally counts
-        # popped events.  Folding the counter into one shared loop
-        # costs ~5% even with observability off (a per-event increment
-        # plus the try/finally needed to flush it), which would break
-        # the null-sink ≤2% contract gated by ``perfbench
-        # --obs-overhead``.
-        if self._obs is not None:
-            return self._run_instrumented(until)
-        events = self._events
-        if until is not None and until <= self.now:
-            return self.now
-        while events:
-            t = events[0][0]
-            if until is not None and t > until:
-                self.now = until
-                return self.now
-            _, _, action, args = heapq.heappop(events)
-            self.now = t
-            action(*args)
-        if until is not None and until > self.now:
-            self.now = until
-        return self.now
-
-    def _run_instrumented(self, until: float | None = None) -> float:
-        """:meth:`run`'s legacy-calendar twin with the dispatch counter."""
-        events = self._events
-        if until is not None and until <= self.now:
-            return self.now
-        dispatched = 0
-        try:
-            while events:
-                t = events[0][0]
-                if until is not None and t > until:
-                    self.now = until
-                    return self.now
-                _, _, action, args = heapq.heappop(events)
-                self.now = t
-                dispatched += 1
-                action(*args)
-            if until is not None and until > self.now:
-                self.now = until
-            return self.now
-        finally:
-            # one counter update per run() call, not per event
-            if dispatched:
-                self._obs.dispatched.inc(dispatched)
-            rec = self.recorder
-            if rec is not None:
-                rec.advance_to(self.now)
-
-    def _run_typed(self, until: float | None = None) -> float:
-        """The typed-calendar run loop: batch pops, opcode dispatch.
-
-        Whenever the pending set is completions-only with no callbacks
-        outstanding and no fault hooks installed (checked per batch —
-        a deferred ``OP_CALL`` firing can make the rest of the run
-        eligible), the loop hands the whole remainder to
-        :meth:`_drain_fast` instead of popping events one at a time.
+        waiting out wall-clock time with no I/O in flight.  Each step
+        pops the whole earliest-timestamp batch and dispatches it by
+        opcode in ``seq`` order.
         """
         if until is not None and until <= self.now:
             return self.now
@@ -520,14 +361,6 @@ class Simulation:
         dispatched = 0
         try:
             while heap:
-                if (
-                    until is None
-                    and cal._n_call == 0
-                    and self.faults is None
-                    and not self._callbacks
-                ):
-                    dispatched += self._drain_fast()
-                    break
                 t = heap[0][0]
                 if until is not None and t > until:
                     self.now = until
@@ -545,220 +378,12 @@ class Simulation:
                 self.now = until
             return self.now
         finally:
-            # one counter update per run() call, not per event —
-            # shared by both the batch loop and the vectorized drain
+            # one counter update per run() call, not per event
             if dispatched and obs is not None:
                 obs.dispatched.inc(dispatched)
             rec = self.recorder
             if rec is not None:
                 rec.advance_to(self.now)
-
-    # ------------------------------------------------------------------
-    def _drain_fast(self) -> int:
-        """Run every pending completion to quiescence, vectorized.
-
-        Preconditions (checked by :meth:`_run_typed`): the calendar
-        holds only ``OP_COMPLETE`` events, no completion callbacks are
-        registered, and no fault model is installed.  Under those
-        conditions the disks are mutually independent — nothing a
-        completion does can affect another disk — so each disk's
-        remaining timeline is one scheduler :meth:`~repro.disksim.
-        scheduler.Scheduler.drain` plus a vectorized service-time
-        computation, and the global completion order is a merge of the
-        per-disk streams.  Every float is produced by the same
-        sequence of IEEE operations the per-event loop performs, so
-        clocks, busy times and request timestamps are bit-identical.
-
-        Returns the number of events the per-event loop would have
-        popped (for the dispatch counter).
-        """
-        cal = self._cal
-        times, seqs, disk_ids = cal.drain_completions()
-        disks = self.disks
-        n_streams = len(times)
-        stream_f: list[np.ndarray] = []   # finish times, in-flight head first
-        stream_reqs: list[list[IORequest]] = []
-        total = 0
-        n_writes = 0
-        bytes_written = 0
-        bytes_total = 0
-        for si in range(n_streams):
-            server = disks[int(disk_ids[si])]
-            current = server.current
-            # the in-flight head is part of the drained batch too
-            if current.kind is IOKind.WRITE:
-                n_writes += 1
-                bytes_written += current.size
-            bytes_total += current.size
-            t0 = float(times[si])
-            queue = server.scheduler
-            if queue:
-                model = server.model
-                reqs = queue.drain(model.head_position)
-                durations, nw, bw, bt = self._vector_service(model, reqs)
-                n_writes += nw
-                bytes_written += bw
-                bytes_total += bt
-                k = len(reqs)
-                f = np.empty(k + 1, dtype=np.float64)
-                f[0] = t0
-                f[1:] = durations
-                np.cumsum(f, out=f)  # accumulate preserves serve order
-                flist = f.tolist()
-                prev = t0
-                for r, ft in zip(reqs, flist[1:]):
-                    r.start_time = prev
-                    r.finish_time = ft
-                    prev = ft
-                stream = [current]
-                stream.extend(reqs)
-                stream_reqs.append(stream)
-                total += 1 + k
-            else:
-                f = times[si : si + 1]
-                stream_reqs.append([current])
-                total += 1
-            stream_f.append(f)
-            server.busy = False
-            server.current = None
-        if not total:
-            return 0
-        # global completion order: merge the per-disk streams the way
-        # the calendar would have popped them
-        if n_streams == 1:
-            ordered = stream_reqs[0]
-            self.now = float(stream_f[0][-1])
-            self._seq += total - 1
-        else:
-            all_f = np.concatenate(stream_f)
-            srt = np.sort(all_f)
-            self.now = float(srt[-1])
-            if (srt[1:] == srt[:-1]).any():
-                # equal finish times across disks: replay the heap's
-                # dynamic tie-breaking (each pop schedules the popped
-                # disk's next completion with the next global seq)
-                ordered = self._merge_streams(stream_f, stream_reqs, seqs)
-            else:
-                flat = np.empty(total, dtype=object)
-                pos = 0
-                for sr in stream_reqs:
-                    flat[pos : pos + len(sr)] = sr
-                    pos += len(sr)
-                ordered = flat[np.argsort(all_f)].tolist()
-                self._seq += total - n_streams
-        self.completed.extend(ordered)
-        obs = self._obs
-        if obs is not None:
-            for si in range(n_streams):
-                obs.qd[int(disk_ids[si])].set(0)
-            obs.on_drain(ordered, n_writes, bytes_written, bytes_total)
-        return total
-
-    def _merge_streams(
-        self,
-        stream_f: list[np.ndarray],
-        stream_reqs: list[list[IORequest]],
-        seqs: np.ndarray,
-    ) -> list[IORequest]:
-        """Merge per-disk completion streams by ``(time, seq)``.
-
-        The in-flight heads carry the seqs their events were scheduled
-        with; every subsequent completion takes the next global seq at
-        the moment its predecessor pops — exactly the per-event loop's
-        assignment order, so ties resolve identically.
-        """
-        flists = [f.tolist() for f in stream_f]
-        heap = [
-            (flists[si][0], int(seqs[si]), si, 0) for si in range(len(flists))
-        ]
-        heapq.heapify(heap)
-        seq = self._seq
-        ordered: list[IORequest] = []
-        while heap:
-            t, s, si, i = heapq.heappop(heap)
-            ordered.append(stream_reqs[si][i])
-            ni = i + 1
-            fl = flists[si]
-            if ni < len(fl):
-                seq += 1
-                heapq.heappush(heap, (fl[ni], seq, si, ni))
-        self._seq = seq
-        return ordered
-
-    def _vector_service(
-        self, model: DiskModel, reqs: list[IORequest]
-    ) -> tuple[np.ndarray, int, int, int]:
-        """Service times for ``reqs`` served back to back, vectorized.
-
-        Replicates :meth:`~repro.disksim.disk.DiskModel.service_time`
-        and :meth:`~repro.disksim.disk.DiskModel.serve` elementwise —
-        same expression grouping, so every duration is the bit-exact
-        float the scalar path computes — and leaves the model's head,
-        sequential-run and byte counters in the post-serve state.
-        ``model.busy_time`` accumulates in serve order.
-
-        Returns ``(durations, n_writes, bytes_written, bytes_total)``
-        so the caller can aggregate observability counters without a
-        second pass over the requests.
-        """
-        k = len(reqs)
-        p = model.params
-        off = np.fromiter((r.offset for r in reqs), np.int64, k)
-        size = np.fromiter((r.size for r in reqs), np.int64, k)
-        end = off + size
-        if int(end.max()) > p.capacity_bytes:
-            bad = reqs[int(np.argmax(end > p.capacity_bytes))]
-            raise ValueError(
-                f"request [{bad.offset}, {bad.end}) beyond disk capacity "
-                f"{p.capacity_bytes}"
-            )
-        is_write = np.fromiter((r.kind is IOKind.WRITE for r in reqs), np.bool_, k)
-        # the head and last-transfer state chain through the batch: the
-        # disk is busy, so its model already reflects the in-flight
-        # request (head == last_end == its end)
-        prev_end = np.empty(k, dtype=np.int64)
-        prev_end[0] = model._last_end
-        prev_end[1:] = end[:-1]
-        prev_write = np.empty(k, dtype=np.bool_)
-        prev_write[0] = model._last_kind is IOKind.WRITE
-        prev_write[1:] = is_write[:-1]
-        sequential = (off == prev_end) & (is_write == prev_write)
-        transfer = np.where(
-            is_write,
-            size / (p.seq_write_mbps * _MB),
-            size / (p.seq_read_mbps * _MB),
-        )
-        dist = np.abs(off - prev_end)
-        frac = np.minimum(1.0, dist / p.capacity_bytes)
-        t2t = p.track_to_track_seek_ms / 1e3
-        full = p.full_stroke_seek_ms / 1e3
-        seek = np.where(dist <= 0, 0.0, t2t + (full - t2t) * np.sqrt(frac))
-        overhead = np.where(
-            is_write,
-            p.scattered_write_overhead_ms / 1e3,
-            p.scattered_read_overhead_ms / 1e3,
-        )
-        scattered = ((seek + p.avg_rotational_latency_s) + transfer) + overhead
-        durations = np.where(sequential, transfer, scattered)
-        # post-serve model state
-        n_seq = int(np.count_nonzero(sequential))
-        model.n_sequential += n_seq
-        model.n_scattered += k - n_seq
-        n_writes = int(np.count_nonzero(is_write))
-        bytes_written = int(size[is_write].sum()) if n_writes else 0
-        bytes_total = int(size.sum())
-        model.bytes_written += bytes_written
-        model.bytes_read += bytes_total - bytes_written
-        busy = np.empty(k + 1, dtype=np.float64)
-        busy[0] = model.busy_time
-        busy[1:] = durations
-        np.cumsum(busy, out=busy)
-        model.busy_time = float(busy[-1])
-        last_end = int(end[-1])
-        model._head = last_end
-        model._last_end = last_end
-        model._last_kind = reqs[-1].kind
-        return durations, n_writes, bytes_written, bytes_total
 
     def max_finish_time_since(self, index: int, default: float = 0.0) -> float:
         """Latest completion time among ``completed[index:]`` — O(1).
@@ -775,10 +400,6 @@ class Simulation:
             if latest > default:
                 return latest
         return default
-
-    def drain(self) -> float:
-        """Alias of :meth:`run` to quiescence."""
-        return self.run()
 
     # ------------------------------------------------------------------
     @property

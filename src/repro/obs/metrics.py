@@ -83,9 +83,6 @@ class _Instrument:
     def _make_child(self, key):  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def label_sets(self) -> list[dict]:
-        return [dict(key) for key in self._values]
-
 
 class _BoundCounter:
     __slots__ = ("_values", "_key")
@@ -187,45 +184,6 @@ class _BoundHistogram:
         if value > state.max:
             state.max = value
 
-    def observe_many(self, values) -> None:
-        """Batch observation, state-identical to a loop of :meth:`observe`.
-
-        ``values`` is any sequence (or numpy array) of floats.  Bucket
-        assignment vectorises on large batches, but the running ``sum``
-        still accumulates value by value in input order, so batch and
-        per-value observation leave bit-identical histogram state —
-        the contract the engine's vectorized drain path relies on.
-        """
-        vlist = values.tolist() if hasattr(values, "tolist") else list(values)
-        n = len(vlist)
-        if not n:
-            return
-        state = self._state
-        bounds = self._bounds
-        counts = state.counts
-        if n >= 64:
-            import numpy as np
-
-            arr = values if hasattr(values, "dtype") else np.asarray(vlist)
-            idx = np.searchsorted(np.asarray(bounds), arr, side="left")
-            for i, c in enumerate(np.bincount(idx, minlength=len(counts)).tolist()):
-                if c:
-                    counts[i] += c
-        else:
-            for v in vlist:
-                counts[bisect_left(bounds, v)] += 1
-        total = state.sum
-        for v in vlist:
-            total += v
-        state.sum = total
-        state.count += n
-        lo = min(vlist)
-        hi = max(vlist)
-        if lo < state.min:
-            state.min = lo
-        if hi > state.max:
-            state.max = hi
-
 
 class Histogram(_Instrument):
     """A distribution over fixed buckets (upper bounds, +inf implicit)."""
@@ -251,10 +209,6 @@ class Histogram(_Instrument):
     def observe(self, value: float, **labels) -> None:
         self.labels(**labels).observe(value)
 
-    def observe_many(self, values, **labels) -> None:
-        """Batch :meth:`observe` — see :meth:`_BoundHistogram.observe_many`."""
-        self.labels(**labels).observe_many(values)
-
     def state(self, **labels) -> _HistState | None:
         return self._values.get(_label_key(labels))
 
@@ -277,9 +231,6 @@ class _NullInstrument:
         pass
 
     def observe(self, value: float, **labels) -> None:
-        pass
-
-    def observe_many(self, values, **labels) -> None:
         pass
 
     def value(self, **labels) -> float:
@@ -464,7 +415,7 @@ def set_obs_enabled(enabled: bool) -> bool:
 
     Components read the switch **at construction time** (they capture
     instruments, or skip creating hooks entirely), so flipping it
-    affects objects built afterwards — exactly like ``REPRO_BATCH``.
+    affects objects built afterwards, not live ones.
     """
     global _enabled
     old = _enabled

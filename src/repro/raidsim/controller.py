@@ -457,7 +457,6 @@ class RaidController:
         retry_policy: RetryPolicy | None = None,
         plan_cache: bool = True,
         tracer=None,
-        calendar: str | None = None,
     ) -> None:
         self.layout = layout
         self.plan_cache = PlanCache(layout, enabled=plan_cache)
@@ -498,7 +497,6 @@ class RaidController:
             scheduler_factory,
             faults=self.active_faults if self.active_faults is not None else lse,
             tracer=group if group is not None else False,
-            calendar=calendar,
         )
         if group is not None:
             group.name_track(layout.n_disks + spares, "rebuild controller")

@@ -61,6 +61,8 @@ def random_large_writes(
     in the stripe.  Element order within an op is row-major
     (``j`` outer, ``i`` inner), the order large writes proceed in.
     """
+    if n_ops < 0:
+        raise ValueError(f"n_ops must be >= 0, got {n_ops}")
     if rng is None:
         rng = np.random.default_rng(0)
     ops: list[WriteOp] = []

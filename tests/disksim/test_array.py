@@ -9,8 +9,6 @@ from repro.disksim.array import (
     DEFAULT_ELEMENT_SIZE,
     BatchSubmission,
     ElementArray,
-    batch_enabled,
-    set_batch_enabled,
 )
 from repro.disksim.disk import DiskParameters
 from repro.disksim.request import IOKind
@@ -118,31 +116,6 @@ def test_numpy_and_scalar_coalescers_agree_on_random_batches():
             vector = arr._coalesce_numpy(disks, slots, n_elements)
             assert [tuple(r) for r in vector[0]] == [tuple(r) for r in scalar[0]]
             assert list(vector[1]) == list(scalar[1])
-
-
-def test_batch_toggle_preserves_requests_and_timings():
-    """REPRO_BATCH=0 ablation: the per-element path and the batch path
-    produce byte-identical request streams and completion times."""
-    rng = np.random.default_rng(11)
-    ops = [
-        (int(d), int(s))
-        for d, s in zip(rng.integers(0, 3, 80), rng.integers(0, 25, 80))
-    ]
-
-    def run(enabled):
-        old = set_batch_enabled(enabled)
-        try:
-            arr = _ideal(3)
-            reqs = arr.submit_elements(ops, IOKind.READ)
-            arr.run()
-            return [
-                (r.disk, r.offset, r.size, r.start_time, r.finish_time) for r in reqs
-            ]
-        finally:
-            set_batch_enabled(old)
-
-    assert run(True) == run(False)
-    assert batch_enabled() in (True, False)  # toggle restored
 
 
 def test_empty_submission_has_empty_mapping():

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.disksim.calendar import EVENT_DTYPE, OP_CALL, OP_COMPLETE, TypedCalendar
 
@@ -35,21 +34,12 @@ def test_call_side_table_roundtrip():
     hits = []
     cal.push_call(1.0, 1, hits.append, ("a",))
     cal.push_call(2.0, 2, hits.append, ("b",))
-    assert cal.call_count == 2
+    assert len(cal) == 2
     (event,) = cal.pop_batch()
     assert event[2] == OP_CALL
     action, args = cal.take_call(event[1])
     action(*args)
-    assert hits == ["a"] and cal.call_count == 1
-
-
-def test_call_count_tracks_mixed_calendar():
-    cal = TypedCalendar()
-    cal.push(1.0, 1, OP_COMPLETE, 0)
-    assert cal.call_count == 0
-    cal.push_call(2.0, 2, print, ())
-    assert cal.call_count == 1
-    assert len(cal) == 2
+    assert hits == ["a"] and len(cal) == 1
 
 
 def test_drain_completions_sorted_and_empties():
@@ -79,13 +69,7 @@ def test_records_structured_dtype():
     assert len(cal) == 2
 
 
-def test_simulation_calendar_selection(monkeypatch):
+def test_simulation_calendar_selection():
     from repro.disksim.events import Simulation
 
     assert Simulation(2).calendar_kind == "typed"
-    assert Simulation(2, calendar="heapq").calendar_kind == "heapq"
-    monkeypatch.setenv("REPRO_CALENDAR", "heapq")
-    assert Simulation(2).calendar_kind == "heapq"
-    assert Simulation(2, calendar="typed").calendar_kind == "typed"
-    with pytest.raises(ValueError):
-        Simulation(2, calendar="wheel")

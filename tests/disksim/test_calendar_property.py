@@ -1,11 +1,12 @@
-"""Heapq-vs-typed calendar equivalence, property-based.
+"""Production engine vs the tuple-heap reference engine, property-based.
 
-The typed calendar is an internal representation change only: any
-workload replayed on both calendars must produce identical completed
-sequences, clocks, per-disk busy times and exported traces — serially
-and across the :class:`repro.parallel.WorkerPool` fork boundary
-(workers inherit the module state of the parent at fork time, so this
-also guards against calendar state leaking through ``fork``).
+The engine's opcode calendar is a representation of the plain
+``(time, seq, action, args)`` tuple heap in ``heapq_engine.py``: any
+workload replayed on both must produce identical completed sequences,
+clocks, per-disk busy times and exported traces — serially and across
+the :class:`repro.parallel.WorkerPool` fork boundary (workers inherit
+the module state of the parent at fork time, so this also guards
+against calendar state leaking through ``fork``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.disksim.array import ElementArray
 from repro.disksim.disk import DiskParameters
 from repro.disksim.request import IOKind
 from repro.disksim.scheduler import (
@@ -24,6 +24,7 @@ from repro.disksim.scheduler import (
     PriorityScheduler,
 )
 from repro.parallel import WorkerPool
+from tests.disksim.heapq_engine import element_array
 
 _SCHEDULERS = {
     "fifo": FIFOScheduler,
@@ -37,18 +38,19 @@ _ELEMENT = 1 << 16
 def _run_workload(spec):
     """Replay one workload spec; module-level so it crosses ``fork``.
 
-    ``spec`` is ``(calendar, n_disks, scheduler_name, ops, deferred)``
-    with ``ops`` a tuple of ``(disk, slot, is_write, priority)`` and
+    ``spec`` is ``(engine, n_disks, scheduler_name, ops, deferred)``
+    with ``engine`` ``"typed"`` (production) or ``"heapq"`` (reference),
+    ``ops`` a tuple of ``(disk, slot, is_write, priority)`` and
     ``deferred`` a tuple of ``(delay, disk, slot)`` submitted through
-    ``submit_at`` (the ``OP_CALL`` escape hatch on the typed calendar).
+    ``submit_at`` (the calendar's ``OP_CALL`` escape hatch).
     """
-    calendar, n_disks, scheduler_name, ops, deferred = spec
-    arr = ElementArray(
+    engine, n_disks, scheduler_name, ops, deferred = spec
+    arr = element_array(
+        engine,
         n_disks,
         _ELEMENT,
         DiskParameters.savvio_10k3(),
         _SCHEDULERS[scheduler_name],
-        calendar=calendar,
     )
     for disk, slot, is_write, priority in ops:
         arr.submit(
@@ -122,7 +124,7 @@ def pool():
 @settings(max_examples=15, deadline=None)
 def test_calendar_identity_survives_fork_boundary(w, pool):
     """Workers replay the same spec in forked processes; parent replays
-    it inline — all four signatures (2 calendars x 2 process modes)
+    it inline — all four signatures (2 engines x 2 process modes)
     must agree."""
     n_disks, scheduler, ops, deferred = w
     specs = [
@@ -139,19 +141,19 @@ def test_exported_traces_identical_across_calendars(tmp_path):
     from repro.obs import Tracer, chrome_trace
 
     exports = {}
-    for calendar in ("heapq", "typed"):
+    for engine in ("heapq", "typed"):
         rng = np.random.default_rng(11)
         tracer = Tracer()
-        arr = ElementArray(
+        arr = element_array(
+            engine,
             4,
             _ELEMENT,
             DiskParameters.savvio_10k3(),
             ElevatorScheduler,
             tracer=tracer.group("ab"),
-            calendar=calendar,
         )
         for d, s in zip(rng.integers(0, 4, 300), rng.integers(0, 64, 300)):
             arr.submit(arr.element_request(int(d), int(s), IOKind.READ))
         arr.run()
-        exports[calendar] = chrome_trace(tracer)
+        exports[engine] = chrome_trace(tracer)
     assert exports["heapq"] == exports["typed"]

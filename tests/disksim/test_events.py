@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.disksim.disk import DiskParameters
@@ -149,6 +150,35 @@ def test_submit_many_matches_sequential_submits():
     batch_sim.run()
     timings = lambda reqs: [(r.start_time, r.finish_time) for r in reqs]
     assert timings(loop_reqs) == timings(batch_reqs)
+
+
+def test_submit_many_with_callback_matches_submit_loop():
+    """``submit_many(reqs, cb)`` is a loop of ``submit(r, cb)``: same
+    callback order, same follow-up work, same timings."""
+    rng = np.random.default_rng(11)
+    ops = [(int(d), int(s)) for d, s in zip(rng.integers(0, 3, 80), rng.integers(0, 25, 80))]
+
+    def run(batched):
+        sim = _sim(3)
+        reqs = [IORequest(d, s * _MB, _MB, IOKind.READ) for d, s in ops]
+        seen = []
+
+        def cb(r):
+            seen.append(r)
+            if r.offset < 5 * _MB:  # completions may submit more work
+                sim.submit(IORequest(r.disk, r.offset + 30 * _MB, _MB, IOKind.WRITE), cb)
+
+        if batched:
+            sim.submit_many(reqs, cb)
+        else:
+            for r in reqs:
+                sim.submit(r, cb)
+        sim.run()
+        return sim.now, [
+            (r.disk, r.offset, r.kind.value, r.start_time, r.finish_time) for r in seen
+        ]
+
+    assert run(True) == run(False)
 
 
 def test_submit_many_rejects_unknown_disk_and_fires_callbacks():

@@ -150,10 +150,11 @@ def test_timeout_retry_backoff_appears_in_makespan():
     assert slow_span > fast_span + 0.4  # at least one 0.5 s backoff visible
 
 
-def test_timeout_rebuild_deterministic_with_batch_path_off():
-    """The retry/timeout pipeline must not depend on the batch fast
-    path: REPRO_BATCH=0 replays the identical rebuild."""
-    from repro.disksim.array import set_batch_enabled
+def test_timeout_rebuild_deterministic_with_batch_path_off(monkeypatch):
+    """The retry/timeout pipeline must not depend on which coalescer
+    the batches take: the rebuild replays identically with the numpy
+    coalescer forced for every batch and with the scalar one forced."""
+    from repro.disksim import array
 
     def run():
         plan = FaultPlan(seed=3).with_transients(rate=0.2).with_fail_slow(1, 20.0)
@@ -171,14 +172,12 @@ def test_timeout_rebuild_deterministic_with_batch_path_off():
             s.backoff_time_s,
         )
 
-    batched = run()
-    old = set_batch_enabled(False)
-    try:
-        unbatched = run()
-    finally:
-        set_batch_enabled(old)
-    assert batched == unbatched
-    assert batched[1] is True
+    monkeypatch.setattr(array, "_numpy_min_ops", 1)
+    numpy_path = run()
+    monkeypatch.setattr(array, "_numpy_min_ops", 1 << 30)
+    scalar_path = run()
+    assert numpy_path == scalar_path
+    assert numpy_path[1] is True
 
 
 # ----------------------------------------------------------------------

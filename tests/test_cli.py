@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.cli import LAYOUTS, build_layout, main
 
@@ -503,3 +505,106 @@ def test_faultcampaign_aborted_rebuilds_print_no_speedup(capsys, tmp_path):
     assert out.count("aborted: True") == 2
     assert "rebuild speedup:       nan" in out
     assert json.loads(out_path.read_text())["makespan_speedup"] is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["write-plan", "--layout", "shifted-mirror", "--n", "3", "--row", "7"],
+        ["write-plan", "--layout", "shifted-mirror", "--n", "3", "--row", "-1"],
+        ["write-plan", "--layout", "shifted-mirror", "--n", "3", "--element", "5,5"],
+        ["write-plan", "--layout", "raid5", "--n", "3", "--element", "3,0"],
+        ["write-plan", "--layout", "raid6-rdp", "--n", "3", "--element", "3,0"],
+    ],
+)
+def test_write_plan_rejects_cells_outside_the_stripe(capsys, argv):
+    """Out-of-range rows and cells used to raise an IndexError traceback
+    (or, on RAID 5/6, plan a write of a cell that does not exist)."""
+    assert main(argv) == 2
+    assert "error: --" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("port", ["-1", "65536"])
+def test_metrics_port_out_of_range_is_an_argparse_error(capsys, port):
+    """``--metrics-port -1`` used to die in the socket layer with an
+    OverflowError traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "rebuild", "--layout", "mirror", "--n", "3",
+              "--stripes", "2", "--metrics-port", port])
+    assert exc.value.code == 2
+    assert "argument --metrics-port: must be in 0..65535" in capsys.readouterr().err
+
+
+def test_experiments_rejects_unknown_only_id(capsys):
+    """``--only bogus`` used to run the whole battery, print nothing and
+    exit 0."""
+    with pytest.raises(SystemExit) as exc:
+        main(["experiments", "--quick", "--only", "bogus"])
+    assert exc.value.code == 2
+    assert "argument --only: invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ops", ["0", "-1"])
+def test_simulate_writes_requires_at_least_one_op(capsys, ops):
+    """An empty write workload used to report 0.0 MB/s as a result."""
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "writes", "--layout", "mirror", "--n", "3", "--ops", ops])
+    assert exc.value.code == 2
+    assert "argument --ops: must be >= 1" in capsys.readouterr().err
+
+
+def test_random_large_writes_rejects_negative_op_count():
+    from repro.workloads.generator import random_large_writes
+
+    assert random_large_writes(3, 2, n_ops=0) == []
+    with pytest.raises(ValueError, match="n_ops"):
+        random_large_writes(3, 2, n_ops=-1)
+
+
+# ----------------------------------------------------------------------
+# argparse fuzz over the cheap subcommands
+# ----------------------------------------------------------------------
+
+_small = st.integers(-3, 9).map(str)
+
+
+@st.composite
+def _cheap_invocation(draw):
+    command = draw(st.sampled_from(["arrange", "table1", "plan", "write-plan", "reliability"]))
+    if command == "arrange":
+        argv = ["arrange", "--n", draw(_small)]
+        flag = draw(st.sampled_from(["--iterate", "--identity", None]))
+        if flag == "--iterate":
+            argv += [flag, draw(_small)]
+        elif flag:
+            argv.append(flag)
+        return argv
+    if command == "table1":
+        return ["table1", "--n", draw(_small)]
+    layout = draw(st.sampled_from(sorted(LAYOUTS)))
+    if command == "plan":
+        failed = draw(st.lists(_small, min_size=1, max_size=3))
+        return ["plan", "--layout", layout, "--n", draw(_small), "--failed", *failed]
+    if command == "write-plan":
+        argv = ["write-plan", "--layout", layout, "--n", draw(_small)]
+        if draw(st.booleans()):
+            return argv + ["--row", draw(_small)]
+        cells = draw(st.lists(st.tuples(_small, _small), min_size=1, max_size=3))
+        return argv + ["--element", *(f"{i},{j}" for i, j in cells)]
+    return ["reliability", "--layout", layout,
+            "--n", draw(st.integers(-3, 5).map(str)),
+            "--stripes", draw(st.integers(-3, 3).map(str))]
+
+
+@given(argv=_cheap_invocation())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_fuzz_exits_cleanly(capsys, argv):
+    """Every invocation either succeeds or exits 2 with a message —
+    never a traceback, whatever integers it is handed."""
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    capsys.readouterr()
+    assert rc in (0, 2), argv

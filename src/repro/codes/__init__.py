@@ -1,92 +1,24 @@
-"""Erasure-coding substrate (the reproduction's Jerasure-1.2 stand-in).
+"""The XOR array codes behind the RAID 6 and vertical-code baselines.
 
 Contents
 --------
-* :mod:`~repro.codes.galois` — table-driven GF(2^w) arithmetic.
-* :mod:`~repro.codes.matrix` — coding matrices over GF (Vandermonde,
-  Cauchy, Gauss-Jordan inversion).
-* :mod:`~repro.codes.xor_code` — single XOR parity (RAID 5 / the parity
-  disk of the mirror-with-parity methods).
-* :mod:`~repro.codes.reed_solomon` — systematic Reed-Solomon matrix
-  coding.
 * :mod:`~repro.codes.evenodd` / :mod:`~repro.codes.rdp` — the two
   classic XOR-only RAID 6 codes the paper cites as baselines.
-* :mod:`~repro.codes.decoder` — unified decode facade used by the RAID
-  layer.
+* :mod:`~repro.codes.xcode` — X-Code, the vertical MDS code.
+
+Each code encodes a data block and decodes it from at most two erased
+columns; the layouts in :mod:`repro.core.layouts` call them directly.
+Single parity is a plain row XOR and needs no code object.
 """
 
-from .bitmatrix import (
-    BitMatrixCode,
-    CauchyRSCode,
-    gf_constant_to_bitmatrix,
-    gf_matrix_to_bitmatrix,
-)
-from .decoder import (
-    ErasureDecoder,
-    EvenOddDecoder,
-    RDPDecoder,
-    RSDecoder,
-    SingleParityDecoder,
-)
 from .evenodd import EvenOdd, is_prime, smallest_prime_at_least
-from .galois import GF, PRIMITIVE_POLYNOMIALS, gf8, gf16
-from .matrix import (
-    cauchy_matrix,
-    identity,
-    invert,
-    is_invertible,
-    matmul,
-    matvec_regions,
-    rs_distribution_matrix,
-    vandermonde,
-)
 from .rdp import RDP
-from .reed_solomon import RSCode
-from .schedule import (
-    Schedule,
-    XorOp,
-    dumb_schedule,
-    execute_schedule,
-    smart_schedule,
-)
 from .xcode import XCode
-from .xor_code import parity_region, recover_from_parity, verify_parity, xor_fold
 
 __all__ = [
-    "GF",
-    "PRIMITIVE_POLYNOMIALS",
-    "gf8",
-    "gf16",
-    "identity",
-    "matmul",
-    "matvec_regions",
-    "invert",
-    "is_invertible",
-    "vandermonde",
-    "rs_distribution_matrix",
-    "cauchy_matrix",
-    "xor_fold",
-    "parity_region",
-    "recover_from_parity",
-    "verify_parity",
-    "RSCode",
-    "BitMatrixCode",
-    "CauchyRSCode",
-    "gf_constant_to_bitmatrix",
-    "gf_matrix_to_bitmatrix",
-    "Schedule",
-    "XorOp",
-    "dumb_schedule",
-    "smart_schedule",
-    "execute_schedule",
     "EvenOdd",
     "RDP",
     "XCode",
     "is_prime",
     "smallest_prime_at_least",
-    "ErasureDecoder",
-    "SingleParityDecoder",
-    "RSDecoder",
-    "EvenOddDecoder",
-    "RDPDecoder",
 ]

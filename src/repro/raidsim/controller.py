@@ -29,15 +29,8 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from ..codes.decoder import EvenOddDecoder, RDPDecoder
 from ..core.errors import UnrecoverableFailureError
-from ..core.layouts import (
-    Layout,
-    MirrorParityLayout,
-    RAID5Layout,
-    RAID6Layout,
-    XCodeLayout,
-)
+from ..core.layouts import Layout
 from ..core.plancache import PlanCache
 from ..core.reconstruction import (
     RebuildPhase,
@@ -556,27 +549,15 @@ class RaidController:
         film = self.film.block(self.n_stripes, t.n, t.data_rows)
         self._install(np.arange(self.n_stripes), film.transpose(0, 2, 1, 3))
 
-    def _install(self, stripes: np.ndarray, block: np.ndarray) -> None:
+    def _install(self, stripes: np.ndarray, block: np.ndarray | None = None) -> None:
         """Write the full content of ``stripes`` derived from their
-        ``(stripes, data_rows, n, payload)`` data ``block``."""
-        cells = self.stack.place_cells(stripes, self.layout.content_table.cells)
-        self.content[cells] = self.layout.derive(block)
-
-    def _stored(self, stripes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Stored values of every table cell of ``stripes``, and the data
-        block their primaries hold."""
+        ``(stripes, data_rows, n, payload)`` data ``block`` — by default
+        the data their primaries hold now."""
         t = self.layout.content_table
-        values = self.content[self.stack.place_cells(stripes, t.cells)]
-        return values, t.data_block(values)
-
-    def _raid6_code(self):
-        lay = self.layout
-        dec = (
-            EvenOddDecoder(lay.n, lay.p)
-            if lay.code_name == "evenodd"
-            else RDPDecoder(lay.n, lay.p)
-        )
-        return dec
+        cells = self.stack.place_cells(stripes, t.cells)
+        if block is None:
+            block = t.data_block(self.content[cells])
+        self.content[cells] = self.layout.derive(block)
 
     def element_content(self, stripe: int, cell: tuple[int, int]) -> np.ndarray:
         """Current payload of a logical stripe cell."""
@@ -698,6 +679,7 @@ class RaidController:
         counting = self.active_faults is not None
         stats = FaultStats()
         self.fault_stats = stats
+        self._decoded.clear()
         healed_before = self.lse.healed_count if self.lse is not None else 0
 
         completed: dict[int, set[int]] = {f: set() for f in failed}
@@ -985,13 +967,11 @@ class RaidController:
                             if self.place(stripe, (disk, row))[0] in dead:
                                 bad.add((disk, row))
                     if not bad:
-                        self._apply_phase(stripe, plan, phase)
+                        self._apply_steps(stripe, plan, phase.steps)
                         finish_ok()
                         return
                     try:
-                        steps, extra = self._lse_substitute(
-                            stripe, plan, phase, bad, dead_physical=dead
-                        )
+                        steps, extra = self._reroute(stripe, plan, phase, bad, dead)
                     except UnrecoverableFailureError:
                         dead_driven = any(
                             c[0] not in plan.failed_disks
@@ -1026,6 +1006,19 @@ class RaidController:
                                     f"reconstruction of stripe {stripe}"
                                 )
                             fail_stripe_from(stripe, phase_idx)
+                            next_stripe()
+                            return
+                        # a source disk that died while the fallback
+                        # reads were in flight holds 0xDD now: make the
+                        # check on_settled makes and leave the stripe
+                        # to the regroup
+                        dead_now = set(self._dead_disks)
+                        if interrupted() and any(
+                            c[0] not in plan.failed_disks
+                            and self.place(stripe, c)[0] in dead_now
+                            for step in steps
+                            for c in step.sources
+                        ):
                             next_stripe()
                             return
                         self._apply_steps(stripe, plan, steps)
@@ -1082,39 +1075,38 @@ class RaidController:
                     bad.add((disk, row))
         return bad
 
-    def _lse_substitute(
+    def _reroute(
         self,
         stripe: int,
         plan: ReconstructionPlan,
         phase: RebuildPhase,
         bad: set[tuple[int, int]],
-        dead_physical: set[int] | None = None,
+        dead_physical: set[int],
     ) -> tuple[list[RecoveryStep], list[tuple[int, int]]]:
         """Re-route recovery steps around unreadable source elements.
 
-        Returns the substituted step list plus the extra source cells
-        the fallback must read.  Only the mirror family has alternate
-        paths: the plain mirror method *loses data* when its single
-        replica is unreadable — precisely the LSE-during-reconstruction
-        hazard §I cites — and the parity variant survives through the
-        parity path.  ``dead_physical`` disks (killed mid-rebuild) are
-        never usable substitutes.
+        Every step reading a ``bad`` cell is replaced by the layout's
+        :meth:`~repro.core.layouts.Layout.recovery_step` for its target,
+        over the cells readable now: not ``bad``, not on a disk in
+        ``dead_physical`` (killed mid-rebuild), free of latent sector
+        errors, and — on a failed disk — recovered by an *earlier*
+        phase.  Returns the new step list plus the extra source cells
+        the fallback must read.  A layout with no other copy, parity
+        path or decode within tolerance *loses data* here — precisely
+        the LSE-during-reconstruction hazard §I cites.
         """
         lay = self.layout
         failed = set(plan.failed_disks)
         phase_rank = {f: k for k, f in enumerate(plan.failed_disks)}
         current_rank = phase_rank[phase.failed_disk]
-        dead = dead_physical if dead_physical is not None else set()
 
         def usable(cell: tuple[int, int]) -> bool:
-            """A substitute source must be readable now."""
             if cell in bad:
                 return False
             if cell[0] in failed:
-                # only elements recovered by an *earlier* phase exist
                 return phase_rank[cell[0]] < current_rank
             pd, slot = self.place(stripe, cell)
-            if pd in dead:
+            if pd in dead_physical:
                 return False
             return self.lse is None or not self.lse.is_bad(pd, slot)
 
@@ -1124,55 +1116,22 @@ class RaidController:
             if not any(s in bad for s in step.sources):
                 new_steps.append(step)
                 continue
-            if not isinstance(lay, MirrorParityLayout):
+            alt = lay.recovery_step(step.target, usable)
+            if alt is None:
                 raise UnrecoverableFailureError(
-                    f"{lay.name}: source {sorted(bad)} unreadable (latent sector "
-                    f"error) during reconstruction and no redundancy remains"
+                    f"{lay.name}: {step.target} cannot be rebuilt: source "
+                    f"{sorted(bad)} unreadable (latent sector error) and no other "
+                    f"copy, parity path or decode within tolerance remains"
                 )
-            if step.method is RecoveryMethod.COPY:
-                (src,) = step.sources
-                c = lay.content(*src)
-                row_sources = [
-                    lay.data_cell(ii, c.j) for ii in range(lay.n) if ii != c.i
-                ]
-                alt = row_sources + [lay.parity_cell(c.j)]
-                if not all(usable(cell) for cell in alt):
-                    raise UnrecoverableFailureError(
-                        f"element a[{c.i},{c.j}]: replica unreadable and the "
-                        f"parity path is also damaged"
-                    )
-                new_steps.append(RecoveryStep(step.target, RecoveryMethod.XOR, tuple(alt)))
-                extra.extend(cell for cell in alt if cell[0] not in failed)
-            else:  # XOR / RECOMPUTE: swap each bad member for its replica
-                substituted = []
-                for s in step.sources:
-                    if s not in bad:
-                        substituted.append(s)
-                        continue
-                    c = lay.content(*s)
-                    if c.kind != "data":
-                        raise UnrecoverableFailureError(
-                            f"unreadable {c.kind} element {s} has no replica"
-                        )
-                    (rep,) = lay.replica_cells(c.i, c.j)
-                    if not usable(rep):
-                        raise UnrecoverableFailureError(
-                            f"element a[{c.i},{c.j}] and its replica both unreadable"
-                        )
-                    substituted.append(rep)
-                    if rep[0] not in failed:
-                        extra.append(rep)
-                new_steps.append(
-                    RecoveryStep(step.target, step.method, tuple(substituted))
-                )
+            new_steps.append(alt)
+            extra.extend(
+                c for c in alt.sources if c not in step.sources and c[0] not in failed
+            )
         return new_steps, extra
 
     # ------------------------------------------------------------------
-    def _apply_phase(self, stripe: int, plan: ReconstructionPlan, phase: RebuildPhase) -> None:
-        """Execute one phase's recovery steps on the content store."""
-        self._apply_steps(stripe, plan, phase.steps)
-
     def _apply_steps(self, stripe: int, plan: ReconstructionPlan, steps) -> None:
+        """Execute recovery steps on the content store."""
         for step in steps:
             pd, slot = self.place(stripe, step.target)
             if step.method in (RecoveryMethod.XOR, RecoveryMethod.RECOMPUTE):
@@ -1185,53 +1144,34 @@ class RaidController:
                 spd, sslot = self.place(stripe, step.sources[0])
                 self.content[pd, slot] = self.content[spd, sslot]
             elif step.method is RecoveryMethod.CODE:
-                key = (stripe, plan.failed_disks)
-                if key not in self._decoded:
-                    if isinstance(self.layout, XCodeLayout):
-                        self._decode_xcode_stripe(stripe, plan.failed_disks)
-                    else:
-                        self._decode_raid6_stripe(stripe, plan.failed_disks)
-                    self._decoded.add(key)
-                    self._obs.decodes.inc()
+                self._decode(stripe, plan, step.sources)
             else:  # pragma: no cover - defensive
                 raise AssertionError(f"unknown recovery method {step.method}")
 
-    def _decode_raid6_stripe(self, stripe: int, failed_logical: tuple[int, ...]) -> None:
-        lay = self.layout
-        if not isinstance(lay, RAID6Layout):
-            raise AssertionError("CODE recovery outside RAID 6")
-        decoder = self._raid6_code()
-        devices: list[np.ndarray | None] = []
-        for d in range(lay.n_disks):
-            if d in failed_logical:
-                devices.append(None)
-                continue
-            col = np.stack(
-                [self.element_content(stripe, (d, r)) for r in range(lay.rows)]
-            )
-            devices.append(col.reshape(-1))
-        decoded = decoder.decode(devices)
-        for d in failed_logical:
-            col = decoded[d].reshape(lay.rows, self.payload_bytes)
-            for r in range(lay.rows):
-                pd, slot = self.place(stripe, (d, r))
-                self.content[pd, slot] = col[r]
+    def _decode(self, stripe: int, plan: ReconstructionPlan, sources) -> None:
+        """Decode ``stripe`` with every disk absent from ``sources`` erased,
+        installing the columns of the erased disks ``plan`` rebuilds.
 
-    def _decode_xcode_stripe(self, stripe: int, failed_logical: tuple[int, ...]) -> None:
+        The CODE steps of one phase share their sources, so this runs
+        once per stripe and erasure set within a rebuild.
+        """
         lay = self.layout
-        columns: list[np.ndarray | None] = []
-        for d in range(lay.n_disks):
-            if d in failed_logical:
-                columns.append(None)
-                continue
-            columns.append(
-                np.stack([self.element_content(stripe, (d, r)) for r in range(lay.rows)])
-            )
-        grid = lay.code.decode(columns)
-        for d in failed_logical:
-            for r in range(lay.rows):
-                pd, slot = self.place(stripe, (d, r))
-                self.content[pd, slot] = grid[r, d]
+        live = {d for d, _ in sources}
+        erased = tuple(d for d in range(lay.n_disks) if d not in live)
+        key = (stripe, erased)
+        if key in self._decoded:
+            return
+        self._decoded.add(key)
+        slots = stripe * lay.rows + np.arange(lay.rows)
+        columns = [
+            None if d in erased else self.content[self.stack.physical_disk(stripe, d), slots]
+            for d in range(lay.n_disks)
+        ]
+        decoded = lay.decode(columns)
+        for d in erased:
+            if d in plan.failed_disks:
+                self.content[self.stack.physical_disk(stripe, d), slots] = decoded[d]
+        self._obs.decodes.inc()
 
     # ==================================================================
     # writes
@@ -1348,27 +1288,11 @@ class RaidController:
         return stats
 
     def _apply_write_content(self, op: WriteOp, rng: np.random.Generator) -> None:
-        """Install fresh payloads and refresh derived redundancy."""
-        lay = self.layout
-        touched_rows: set[int] = set()
+        """Install fresh primaries, then re-derive the stripe's redundancy."""
         for i, j in op.elements:
-            payload = self.film.fresh(rng)
-            pd, slot = self.place(op.stripe, lay.data_cell(i, j))
-            self.content[pd, slot] = payload
-            for cell in lay.replica_cells(i, j):
-                rpd, rslot = self.place(op.stripe, cell)
-                self.content[rpd, rslot] = payload
-            touched_rows.add(j)
-        if isinstance(lay, (MirrorParityLayout, RAID5Layout)):
-            for j in touched_rows:
-                acc = np.zeros(self.payload_bytes, dtype=np.uint8)
-                for i in range(lay.n):
-                    acc ^= self.element_content(op.stripe, lay.data_cell(i, j))
-                pd, slot = self.place(op.stripe, lay.parity_cell(j))
-                self.content[pd, slot] = acc
-        elif isinstance(lay, (RAID6Layout, XCodeLayout)):
-            stripes = np.array([op.stripe])
-            self._install(stripes, self._stored(stripes)[1])
+            pd, slot = self.place(op.stripe, self.layout.data_cell(i, j))
+            self.content[pd, slot] = self.film.fresh(rng)
+        self._install(np.array([op.stripe]))
 
     # ==================================================================
     # verification helpers (paper §VII-A post-check, plus invariants)
@@ -1379,5 +1303,6 @@ class RaidController:
         Recomputes each stripe's content from the data its primaries
         hold, over all stripes at once, and compares it with the store.
         """
-        values, block = self._stored(np.arange(self.n_stripes))
-        return np.array_equal(values, self.layout.derive(block))
+        t = self.layout.content_table
+        values = self.content[self.stack.place_cells(np.arange(self.n_stripes), t.cells)]
+        return np.array_equal(values, self.layout.derive(t.data_block(values)))

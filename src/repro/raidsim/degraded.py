@@ -6,7 +6,7 @@ explicit, the way md/RAID drivers do:
 
 * **reads** route around the failed disks via
   :func:`~repro.raidsim.reconstruction.degraded_read_sources` (replica
-  first, then the parity path);
+  first, then the parity path, as the layout's content table defines);
 * **writes** execute their plan minus the failed disks' cells; the
   skipped cells are tracked in a *dirty map* (md's write-intent bitmap);
 * **resync** rebuilds the failed disks and replays the dirty map so the
@@ -23,13 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..core.layouts import (
-    DeclusteredMirrorLayout,
-    MirrorLayout,
-    MirrorParityLayout,
-    RAID5Layout,
-    ThreeMirrorLayout,
-)
+from ..core.errors import UnrecoverableFailureError
 from ..disksim.request import IOKind
 from ..workloads.generator import WriteOp
 from .controller import RaidController, RebuildResult
@@ -76,25 +70,15 @@ class DegradedArray:
         entry (it is, after all, gone).
     """
 
-    SUPPORTED = (
-        MirrorLayout,
-        MirrorParityLayout,
-        ThreeMirrorLayout,
-        DeclusteredMirrorLayout,
-        RAID5Layout,
-    )
-
     def __init__(self, controller: RaidController, failed_disks) -> None:
-        if not isinstance(controller.layout, self.SUPPORTED):
+        if controller.layout.coded_kinds:
             raise NotImplementedError(
                 f"degraded-mode service is implemented for the mirror family "
-                f"and RAID 5, not {controller.layout.name}"
+                f"and RAID 5 (no coded cells), not {controller.layout.name}"
             )
         self.controller = controller
         self.failed = tuple(sorted(set(failed_disks)))
         if len(self.failed) > controller.layout.fault_tolerance:
-            from ..core.errors import UnrecoverableFailureError
-
             raise UnrecoverableFailureError(
                 f"{len(self.failed)} failures exceed tolerance "
                 f"{controller.layout.fault_tolerance}"
@@ -133,15 +117,7 @@ class DegradedArray:
         self.stats.reads_served += 1
         self.stats.degraded_reads += int(degraded)
         self.stats.read_latencies_s.append(done["t"] - t0)
-        # value reconstruction from the content store
-        if not degraded:
-            return ctrl.element_content(stripe, sources[0]).copy()
-        if len(sources) == 1:
-            return ctrl.element_content(stripe, sources[0]).copy()
-        acc = np.zeros(ctrl.payload_bytes, dtype=np.uint8)
-        for c in sources:
-            acc ^= ctrl.element_content(stripe, c)
-        return acc
+        return self._value(stripe, sources)
 
     # ------------------------------------------------------------------
     # writes
@@ -189,32 +165,13 @@ class DegradedArray:
         self.stats.writes_served += 1
 
     # ------------------------------------------------------------------
-    def _logical_value(
-        self, stripe: int, i: int, j: int, failed: set[int]
-    ) -> np.ndarray:
-        """The logical (pre-write) value of ``a[i, j]`` despite failures.
-
-        Tries the data cell, then any surviving replica, then the
-        parity path — the same cascade degraded reads use, but against
-        the content store.
-        """
+    def _value(self, stripe: int, sources) -> np.ndarray:
+        """The value a copy or XOR source set holds in the content store."""
         ctrl = self.controller
-        lay = ctrl.layout
-        cell = lay.data_cell(i, j)
-        if cell[0] not in failed:
-            return ctrl.element_content(stripe, cell).copy()
-        for rep in lay.replica_cells(i, j):
-            if rep[0] not in failed:
-                return ctrl.element_content(stripe, rep).copy()
-        if isinstance(lay, (MirrorParityLayout, RAID5Layout)):
-            acc = ctrl.element_content(stripe, lay.parity_cell(j)).copy()
-            for ii in range(lay.n):
-                if ii != i:
-                    acc ^= self._logical_value(stripe, ii, j, failed)
-            return acc
-        from ..core.errors import UnrecoverableFailureError
-
-        raise UnrecoverableFailureError(f"no surviving value for a[{i},{j}]")
+        acc = ctrl.element_content(stripe, sources[0]).copy()
+        for c in sources[1:]:
+            acc ^= ctrl.element_content(stripe, c)
+        return acc
 
     def _apply_degraded_content(
         self, op: WriteOp, rng: np.random.Generator, logical_failed: set[int]
@@ -228,29 +185,30 @@ class DegradedArray:
         """
         ctrl = self.controller
         lay = ctrl.layout
-        # pass 1: old logical values (before anything is overwritten —
-        # a parity-path lookup reads row-mates)
+        # pass 1: old logical values, from the sources a degraded read
+        # would use (before anything is overwritten — a parity-path
+        # lookup reads row-mates)
         updates: list[tuple[int, int, np.ndarray, np.ndarray]] = []
         for i, j in op.elements:
             payload = ctrl.film.fresh(rng)
-            old = self._logical_value(op.stripe, i, j, logical_failed)
-            updates.append((i, j, old, payload))
+            sources = degraded_read_sources(lay, logical_failed, i, j)
+            updates.append((i, j, self._value(op.stripe, sources), payload))
         # pass 2: apply
         deltas: dict[int, np.ndarray] = {}
         for i, j, old, payload in updates:
             deltas.setdefault(j, np.zeros(ctrl.payload_bytes, dtype=np.uint8))
             deltas[j] ^= old ^ payload
-            for cell in [lay.data_cell(i, j), *lay.replica_cells(i, j)]:
+            for cell in lay.copy_cells(i, j):
                 if cell[0] not in logical_failed:
                     pd, slot = ctrl.place(op.stripe, cell)
                     ctrl.content[pd, slot] = payload
-        if isinstance(lay, (MirrorParityLayout, RAID5Layout)):
-            for j, delta in deltas.items():
-                pcell = lay.parity_cell(j)
-                if pcell[0] in logical_failed:
-                    continue  # parity disk dead; dirty map already has it
-                pd, slot = ctrl.place(op.stripe, pcell)
-                ctrl.content[pd, slot] ^= delta
+        row_xor = lay.content_table.row_xor
+        for j, delta in deltas.items():
+            pcell = row_xor.get(j)
+            if pcell is None or pcell[0] in logical_failed:
+                continue  # no parity, or its disk is dead (dirty map has it)
+            pd, slot = ctrl.place(op.stripe, pcell)
+            ctrl.content[pd, slot] ^= delta
 
     # ------------------------------------------------------------------
     # resync

@@ -11,13 +11,13 @@ target element sits on a failed disk becomes a *degraded read*: the
 controller fetches the cheapest surviving source set —
 
 1. the element itself, if its disk survives;
-2. a surviving replica (one element — where the shifted arrangement
-   shines, because replicas of a failed disk spread over all disks
-   instead of queueing behind the rebuild stream on one disk);
-3. the parity path: the row's surviving elements plus the parity
-   element;
-4. last resort (RAID 6 double failures): every intact element of the
-   stripe.
+2. otherwise the layout's
+   :meth:`~repro.core.layouts.Layout.recovery_step`: a surviving
+   replica (one element — where the shifted arrangement shines,
+   because replicas of a failed disk spread over all disks instead of
+   queueing behind the rebuild stream on one disk), then the parity
+   path (the row's surviving elements plus its XOR cell), then, for
+   coded layouts within tolerance, every intact element of the stripe.
 
 The run reports user-read latency statistics alongside the rebuild
 timing, quantifying the availability difference the paper motivates.
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.errors import UnrecoverableFailureError
-from ..core.layouts import MirrorParityLayout, RAID5Layout, RAID6Layout
 from ..disksim.request import IOKind
 from ..disksim.scheduler import PriorityScheduler
 from ..workloads.generator import UserRead
@@ -70,38 +69,18 @@ def degraded_read_sources(layout, failed: set[int], i: int, j: int) -> list[tupl
     """Surviving cells whose contents answer a read of ``a[i, j]``.
 
     Implements the cascade documented in the module docstring; raises
-    :class:`~repro.core.errors.UnrecoverableFailureError` indirectly if
-    no path exists (which cannot happen within the layout's tolerance).
+    :class:`~repro.core.errors.UnrecoverableFailureError` if no path
+    exists (which cannot happen within the layout's tolerance).
     """
     primary = layout.data_cell(i, j)
     if primary[0] not in failed:
         return [primary]
-    for cell in layout.replica_cells(i, j):
-        if cell[0] not in failed:
-            return [cell]
-    if isinstance(layout, (MirrorParityLayout, RAID5Layout)):
-        row_sources = [
-            layout.data_cell(ii, j) for ii in range(layout.n) if ii != i
-        ]
-        parity = layout.parity_cell(j)
-        cells = row_sources + [parity]
-        if all(c[0] not in failed for c in cells):
-            return cells
-    if isinstance(layout, RAID6Layout):
-        row_sources = [layout.data_cell(ii, j) for ii in range(layout.n) if ii != i]
-        cells = row_sources + [(layout.p_disk, j)]
-        if all(c[0] not in failed for c in cells):
-            return cells
-        # double failure: generic decode reads everything intact
-        return [
-            (d, r)
-            for d in range(layout.n_disks)
-            if d not in failed
-            for r in range(layout.rows)
-        ]
-    raise UnrecoverableFailureError(
-        f"no surviving source for data element ({i}, {j}) under failures {sorted(failed)}"
-    )
+    step = layout.recovery_step(primary, lambda cell: cell[0] not in failed)
+    if step is None:
+        raise UnrecoverableFailureError(
+            f"no surviving source for data element ({i}, {j}) under failures {sorted(failed)}"
+        )
+    return list(step.sources)
 
 
 class OnlineReconstruction:

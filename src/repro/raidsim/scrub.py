@@ -8,11 +8,14 @@ parity path (the rewrite reallocates the sector and heals it).
 
 :class:`Scrubber` sweeps every disk of a controller's array
 sequentially (the cheap, streaming pattern), identifies unreadable
-elements, and repairs each from the cheapest surviving source:
+elements, and repairs each from the cheapest readable source set the
+layout's :meth:`~repro.core.layouts.Layout.recovery_step` names:
 
-1. a replica (mirror family) — one extra read;
-2. the parity path — a row read;
-3. nothing available → the element is reported unrepairable (and a
+1. another copy (mirror family) — one extra read;
+2. the parity path — a row read, with unreadable row-mates swapped for
+   their replicas;
+3. for coded layouts, a stripe decode within the fault tolerance;
+4. nothing available → the element is reported unrepairable (and a
    subsequent disk failure would lose it: exactly the §I scenario).
 
 A scrub before rebuild turns the mirror method's LSE data-loss case
@@ -23,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.layouts import MirrorLayout, MirrorParityLayout, ThreeMirrorLayout
 from ..disksim.request import IOKind
 from .controller import RaidController
 
@@ -70,57 +72,6 @@ class Scrubber:
         self.controller = controller
 
     # ------------------------------------------------------------------
-    def _repair_sources(self, stripe: int, cell: tuple[int, int]) -> list[tuple[int, int]] | None:
-        """Surviving logical source cells whose XOR/copy regenerates ``cell``.
-
-        Returns ``None`` when no readable source set exists.
-        """
-        ctrl = self.controller
-        lay = ctrl.layout
-        lse = ctrl.lse
-
-        def readable(logical: tuple[int, int]) -> bool:
-            pd, slot = ctrl.place(stripe, logical)
-            return not lse.is_bad(pd, slot)
-
-        c = lay.content(*cell)
-        candidates: list[list[tuple[int, int]]] = []
-        if c.kind in ("data", "replica"):
-            copies = [lay.data_cell(c.i, c.j)]
-            if isinstance(lay, ThreeMirrorLayout):
-                copies += [lay.mirror_cell(c.i, c.j, 0), lay.mirror_cell(c.i, c.j, 1)]
-            elif isinstance(lay, (MirrorLayout, MirrorParityLayout)):
-                copies += lay.replica_cells(c.i, c.j)
-            candidates.extend([copy] for copy in copies if copy != cell)
-            if isinstance(lay, MirrorParityLayout):
-                row = [lay.data_cell(ii, c.j) for ii in range(lay.n) if ii != c.i]
-                candidates.append(row + [lay.parity_cell(c.j)])
-        elif c.kind == "parity" and isinstance(lay, MirrorParityLayout):
-            candidates.append([lay.data_cell(ii, c.j) for ii in range(lay.n)])
-            # each data element may be swapped for its replica
-        for sources in candidates:
-            fixed: list[tuple[int, int]] = []
-            ok = True
-            for s in sources:
-                if readable(s):
-                    fixed.append(s)
-                    continue
-                sc = lay.content(*s)
-                swapped = False
-                if sc.kind == "data" and isinstance(lay, (MirrorParityLayout, MirrorLayout)):
-                    for rep in lay.replica_cells(sc.i, sc.j):
-                        if readable(rep):
-                            fixed.append(rep)
-                            swapped = True
-                            break
-                if not swapped:
-                    ok = False
-                    break
-            if ok:
-                return fixed
-        return None
-
-    # ------------------------------------------------------------------
     def run(self, repair: bool = True) -> ScrubReport:
         """One full pass: sweep every disk, then repair what was found."""
         ctrl = self.controller
@@ -147,12 +98,14 @@ class Scrubber:
             stripe = slot // ctrl.layout.rows
             row = slot % ctrl.layout.rows
             logical = (ctrl.stack.logical_disk(stripe, disk), row)
-            sources = self._repair_sources(stripe, logical)
-            if sources is None:
+            step = ctrl.layout.recovery_step(
+                logical, lambda c: not lse.is_bad(*ctrl.place(stripe, c))
+            )
+            if step is None:
                 unrepairable.append((disk, slot))
             else:
                 repairs.append(
-                    _Repair((disk, slot), [ctrl.place(stripe, s) for s in sources])
+                    _Repair((disk, slot), [ctrl.place(stripe, s) for s in step.sources])
                 )
 
         # 3) repair: read the sources, rewrite the bad element (the write

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.codes.rdp import RDP
 
-GEOMETRIES = [(3, 2), (5, 4), (5, 2), (7, 6), (7, 3), (11, 9)]
+GEOMETRIES = [(3, 2), (5, 4), (5, 2), (7, 6), (7, 5), (7, 3), (11, 9)]
 
 
 def _stripe(rng, p, n, size=8):

@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.codes.decoder import EvenOddDecoder, RDPDecoder
+from repro.codes.evenodd import EvenOdd
+from repro.codes.rdp import RDP
 from repro.codes.xcode import XCode
 from repro.core.errors import LayoutError
 from repro.core.layouts import RAID6Layout, XCodeLayout
@@ -53,12 +54,8 @@ def _reference_install(ctrl: RaidController) -> np.ndarray:
                 ):
                     out[pd, slot] = np.bitwise_xor.reduce(data[c.j], axis=0)
         if isinstance(lay, RAID6Layout):
-            decoder = (
-                EvenOddDecoder(lay.n, lay.p)
-                if lay.code_name == "evenodd"
-                else RDPDecoder(lay.n, lay.p)
-            )
-            row_par, diag_par = decoder.code.encode(data)
+            code = EvenOdd(lay.p, lay.n) if lay.code_name == "evenodd" else RDP(lay.p, lay.n)
+            row_par, diag_par = code.encode(data)
             for row in range(lay.rows):
                 out[ctrl.place(stripe, (lay.p_disk, row))] = row_par[row]
                 out[ctrl.place(stripe, (lay.q_disk, row))] = diag_par[row]

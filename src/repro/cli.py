@@ -137,7 +137,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"  content verified:   {result.verified}")
     else:
         rng = np.random.default_rng(args.seed)
-        ops = random_large_writes(layout.n, args.stripes, n_ops=args.ops, rng=rng)
+        ops = random_large_writes(
+            layout.n, args.stripes, n_ops=args.ops, rng=rng,
+            data_rows=layout.content_table.data_rows,
+        )
         result = controller.run_write_workload(ops, window=1, rng=rng)
         print(f"{layout.name}: {result.n_ops} random large writes")
         print(f"  makespan:         {result.makespan_s:.3f} s")

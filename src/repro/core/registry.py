@@ -20,6 +20,7 @@ nemesis tiers use instead of assuming a ``shifted-`` name prefix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 from .arrangement import (
@@ -181,8 +182,13 @@ COMPARISONS: dict[str, tuple[str, str]] = {
 }
 
 
+@cache
 def build_layout(name: str, n: int) -> Layout:
-    """Instantiate a layout by registry name."""
+    """The layout registered as ``name`` at ``n`` data disks.
+
+    Layouts are immutable values, so each ``(name, n)`` is built, and
+    its content table compiled, once per process.
+    """
     try:
         builder = LAYOUTS[name]
     except KeyError:

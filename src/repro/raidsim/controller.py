@@ -519,6 +519,9 @@ class RaidController:
         self._death_snapshots: dict[int, np.ndarray] = {}
         self._death_times: dict[int, float] = {}
         self._rebuilding: tuple[int, ...] = ()
+        #: stripes whose primaries a write changed since their
+        #: redundancy was last derived (see :meth:`_flush_writes`)
+        self._dirty: set[int] = set()
         self._init_content()
         if fault_plan is not None:
             for df in fault_plan.disk_failures:
@@ -530,6 +533,7 @@ class RaidController:
         """A scheduled whole-disk failure fires: the bytes are gone."""
         if disk in self._dead_disks or disk in self._rebuilding:
             return
+        self._flush_writes()
         self._death_snapshots[disk] = self.content[disk].copy()
         self._death_times[disk] = self.array.now
         self.content[disk] = 0xDD
@@ -1233,6 +1237,7 @@ class RaidController:
             start_op(pending.pop(0))
             seeded += 1
         self.array.run()
+        self._flush_writes()
         makespan = self.array.now - start
         return WriteResult(
             n_ops=len(ops),
@@ -1288,11 +1293,23 @@ class RaidController:
         return stats
 
     def _apply_write_content(self, op: WriteOp, rng: np.random.Generator) -> None:
-        """Install fresh primaries, then re-derive the stripe's redundancy."""
-        for i, j in op.elements:
-            pd, slot = self.place(op.stripe, self.layout.data_cell(i, j))
-            self.content[pd, slot] = self.film.fresh(rng)
-        self._install(np.array([op.stripe]))
+        """Install fresh primaries and mark the stripe's redundancy stale.
+
+        Nothing reads a written stripe's replicas or parity before the
+        run ends or a disk dies, so both re-derive it once, through
+        :meth:`_flush_writes`.
+        """
+        t = self.layout.content_table
+        idx = t.primary_index[[j * t.n + i for i, j in op.elements]]
+        cells = self.stack.place_cells(np.array([op.stripe]), t.cells[idx])
+        self.content[cells] = self.film.fresh(rng, len(idx))
+        self._dirty.add(op.stripe)
+
+    def _flush_writes(self) -> None:
+        """Re-derive the redundancy of the stripes written since the last flush."""
+        if self._dirty:
+            self._install(np.array(sorted(self._dirty)))
+            self._dirty.clear()
 
     # ==================================================================
     # verification helpers (paper §VII-A post-check, plus invariants)

@@ -189,8 +189,8 @@ class DegradedArray:
         # would use (before anything is overwritten — a parity-path
         # lookup reads row-mates)
         updates: list[tuple[int, int, np.ndarray, np.ndarray]] = []
-        for i, j in op.elements:
-            payload = ctrl.film.fresh(rng)
+        payloads = ctrl.film.fresh(rng, len(op.elements))
+        for (i, j), payload in zip(op.elements, payloads):
             sources = degraded_read_sources(lay, logical_failed, i, j)
             updates.append((i, j, self._value(op.stripe, sources), payload))
         # pass 2: apply

@@ -162,6 +162,11 @@ class FilmSource:
             register_shared_film(self.seed, self.payload_bytes, held)
         return held[:n_stripes, :n_i, :n_j]
 
-    def fresh(self, rng: np.random.Generator) -> np.ndarray:
-        """A new payload for an overwriting user write."""
-        return rng.integers(0, 256, self.payload_bytes, dtype=np.uint8)
+    def fresh(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """New payloads for the ``count`` elements of a user write.
+
+        One ``(count, payload)`` draw.  A uint8 draw consumes whole
+        32-bit words, so when the payload is a multiple of 4 bytes its
+        rows equal ``count`` one-payload draws.
+        """
+        return rng.integers(0, 256, (count, self.payload_bytes), dtype=np.uint8)

@@ -53,20 +53,23 @@ def random_large_writes(
     n_stripes: int,
     n_ops: int = 1000,
     rng: np.random.Generator | None = None,
+    data_rows: int | None = None,
 ) -> list[WriteOp]:
     """The Fig. 10 write workload.
 
     Each op picks a stripe uniformly, a size uniform in
-    ``[1, n*n]`` elements and a row-major aligned start so the run fits
-    in the stripe.  Element order within an op is row-major
-    (``j`` outer, ``i`` inner), the order large writes proceed in.
+    ``[1, n*data_rows]`` elements and a row-major aligned start so the
+    run fits in the stripe's data block of ``data_rows`` rows (``n`` by
+    default, the paper's square block).  Element order within an op is
+    row-major (``j`` outer, ``i`` inner), the order large writes
+    proceed in.
     """
     if n_ops < 0:
         raise ValueError(f"n_ops must be >= 0, got {n_ops}")
     if rng is None:
         rng = np.random.default_rng(0)
     ops: list[WriteOp] = []
-    stripe_elems = n * n
+    stripe_elems = n * (n if data_rows is None else data_rows)
     for _ in range(n_ops):
         stripe = int(rng.integers(0, n_stripes))
         size = int(rng.integers(1, stripe_elems + 1))

@@ -109,3 +109,28 @@ def test_every_spec_builds_a_layout_bearing_its_name():
 def test_unknown_layout_name_exits():
     with pytest.raises(SystemExit):
         build_layout("not-a-layout", 4)
+
+
+def test_build_layout_is_one_value_per_name_and_n():
+    assert build_layout("shifted-mirror", 4) is build_layout("shifted-mirror", 4)
+    assert build_layout("shifted-mirror", 4) is not build_layout("shifted-mirror", 5)
+    assert build_layout("mirror", 4) is not build_layout("shifted-mirror", 4)
+
+
+def test_content_table_compiles_once_per_name_and_n(monkeypatch):
+    from repro.core.layouts import ContentTable
+    from repro.raidsim.availability import measure_case
+
+    compiled = []
+    compile_ = ContentTable.compile
+
+    def counting(cls, layout):
+        compiled.append((layout.name, layout.n))
+        return compile_(layout)
+
+    monkeypatch.setattr(ContentTable, "compile", classmethod(counting))
+    build_layout.cache_clear()
+    for failed in [(0,), (1,), (2,)] * 2:
+        for name in ("mirror", "shifted-mirror"):
+            assert measure_case(build_layout(name, 3), failed, n_stripes=3).verified
+    assert sorted(compiled) == [("mirror", 3), ("shifted-mirror", 3)]

@@ -13,8 +13,10 @@ from repro.core.layouts import (
     traditional_mirror,
     traditional_mirror_parity,
 )
+from repro.core.registry import build_layout
 from repro.disksim.request import IOKind
 from repro.raidsim.controller import RaidController
+from repro.raidsim.writes import measure_write_throughput
 from repro.workloads.generator import WriteOp, random_large_writes
 
 
@@ -152,3 +154,11 @@ def test_replica_reads_equally_fast_under_both_arrangements():
         ctrl = RaidController(builder(5), n_stripes=6, payload_bytes=8)
         times[name] = ctrl.run_read_workload(list(reads), from_replica=True).makespan_s
     assert abs(times["shift"] - times["trad"]) / times["trad"] < 0.2
+
+
+@pytest.mark.parametrize("name", ["raid6-evenodd", "xcode", "declustered-mirror"])
+def test_write_throughput_on_non_square_data_blocks(name):
+    point = measure_write_throughput(build_layout(name, 5), n_ops=20, n_stripes=4)
+    assert point.n_ops == 20
+    assert point.write_throughput_mbps > 0
+    assert point.redundancy_intact

@@ -93,6 +93,17 @@ def test_simulate_writes(capsys):
     assert "redundancy intact: True" in out
 
 
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_simulate_writes_every_layout_at_n5(capsys, layout):
+    # raid6-evenodd (4 data rows) and xcode (3) have non-square data
+    # blocks; the write workload must stay inside them
+    rc, out = run_cli(capsys, "simulate", "writes", "--layout", layout,
+                      "--n", "5", "--stripes", "4", "--ops", "12")
+    assert rc == 0
+    assert f"{layout}: 12 random large writes" in out
+    assert "redundancy intact: True" in out
+
+
 def test_experiments_only_table1(capsys):
     rc, out = run_cli(capsys, "experiments", "--quick", "--only", "table1")
     assert rc == 0

@@ -43,4 +43,19 @@ def test_fresh_uses_caller_rng():
     src = FilmSource(payload_bytes=16)
     rng1 = np.random.default_rng(9)
     rng2 = np.random.default_rng(9)
-    assert np.array_equal(src.fresh(rng1), src.fresh(rng2))
+    a = src.fresh(rng1, 5)
+    assert a.shape == (5, 16) and a.dtype == np.uint8
+    assert np.array_equal(a, src.fresh(rng2, 5))
+
+
+@pytest.mark.parametrize("payload", [4, 8, 16, 64])
+def test_fresh_rows_equal_one_payload_draws(payload):
+    # one (count, payload) draw is the same byte stream as count
+    # one-payload draws whenever the payload is whole 32-bit words
+    src = FilmSource(payload_bytes=payload)
+    rng1 = np.random.default_rng(3)
+    rng2 = np.random.default_rng(3)
+    batch = src.fresh(rng1, 6)
+    singles = [rng2.integers(0, 256, payload, dtype=np.uint8) for _ in range(6)]
+    assert np.array_equal(batch, np.stack(singles))
+    assert rng1.integers(0, 2**32) == rng2.integers(0, 2**32)

@@ -57,6 +57,22 @@ def test_default_rng_is_seeded():
     assert random_large_writes(3, 3, 5) == random_large_writes(3, 3, 5)
 
 
+def test_square_data_rows_is_the_default_draw_for_draw():
+    a = random_large_writes(4, 6, 40, np.random.default_rng(5))
+    b = random_large_writes(4, 6, 40, np.random.default_rng(5), data_rows=4)
+    assert a == b
+
+
+@pytest.mark.parametrize("n, data_rows", [(5, 3), (5, 4), (5, 9), (3, 2)])
+def test_ops_cover_a_non_square_data_block(n, data_rows):
+    ops = random_large_writes(
+        n, 4, n_ops=400, rng=np.random.default_rng(2), data_rows=data_rows
+    )
+    cells = {ij for op in ops for ij in op.elements}
+    assert cells == {(i, j) for i in range(n) for j in range(data_rows)}
+    assert max(op.n_elements for op in ops) == n * data_rows
+
+
 # ----------------------------------------------------------------------
 # user read stream
 # ----------------------------------------------------------------------

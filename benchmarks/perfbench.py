@@ -220,14 +220,15 @@ def kernel_campaign_pooled(n_seeds: int, n_stripes: int) -> float:
 class _BareSimulation(Simulation):
     """The engine with its observability hooks surgically removed.
 
-    ``_complete`` carries the pre-instrumentation body, so timing this
-    subclass against the real engine under ``REPRO_OBS=0`` prices
-    exactly the null-sink residue (one ``is not None`` check per
-    completion plus the per-``run`` counter flush check) and nothing
-    else.  The run loop already pays its observability residue per
-    *run* rather than per event, so there is no per-event body left to
-    strip there; the parent loop with ``_obs = None`` *is* the bare
-    loop.
+    ``_complete`` is the engine's body minus the ``_obs`` hook (the
+    pending-request counter included), so timing this subclass against
+    the real engine under ``REPRO_OBS=0`` prices exactly the null-sink
+    residue: one ``is not None`` check per completion, plus one per
+    ``run`` before publishing.  With observability on, a completion
+    bumps plain per-run counts and observes the latency histogram; the
+    counters and gauges are written once per ``run``.  The run loop
+    has no per-event observability body to strip, so the parent loop
+    with ``_obs = None`` *is* the bare loop.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -235,6 +236,7 @@ class _BareSimulation(Simulation):
         self._obs = None
 
     def _complete(self, server, request) -> None:
+        self._pending -= 1
         server.busy = False
         server.current = None
         if self.faults is not None:

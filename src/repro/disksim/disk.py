@@ -44,6 +44,11 @@ __all__ = ["DiskParameters", "DiskModel"]
 _MB = 1024 * 1024
 
 
+def capacity_error(request: IORequest, capacity: int) -> ValueError:
+    """The error for a request ending past a disk's ``capacity``."""
+    return ValueError(f"request [{request.offset}, {request.end}) beyond disk capacity {capacity}")
+
+
 @dataclass(frozen=True)
 class DiskParameters:
     """Mechanical and transfer characteristics of one disk."""
@@ -121,7 +126,8 @@ class DiskModel:
     The model is deliberately *stateful about position only*: the event
     engine owns time; the disk answers "how long would this request
     take right now" and updates its head position when told the request
-    was served.
+    was served.  :meth:`serve` skips :meth:`service_time`'s capacity
+    check, which the engine makes once, at submit.
     """
 
     def __init__(self, disk_id: int, params: DiskParameters | None = None) -> None:
@@ -140,32 +146,28 @@ class DiskModel:
     # ------------------------------------------------------------------
     def is_sequential(self, request: IORequest) -> bool:
         """Whether the request continues the previous transfer."""
-        return (
-            self._last_end is not None
-            and request.offset == self._last_end
-            and request.kind == self._last_kind
-        )
+        # an int offset never equals the unset ``_last_end`` (None)
+        return request.offset == self._last_end and request.kind == self._last_kind
+
+    def _duration(self, request: IORequest, sequential: bool) -> float:
+        p = self.params
+        transfer = p.transfer_time_s(request.size, request.kind)
+        if sequential:
+            return transfer
+        seek = p.seek_time_s(abs(request.offset - self._head))
+        return seek + p.avg_rotational_latency_s + transfer + p.scattered_overhead_s(request.kind)
 
     def service_time(self, request: IORequest) -> float:
         """Seconds the disk needs for ``request`` from its current state."""
         if request.end > self.params.capacity_bytes:
-            raise ValueError(
-                f"request [{request.offset}, {request.end}) beyond disk capacity "
-                f"{self.params.capacity_bytes}"
-            )
-        p = self.params
-        transfer = p.transfer_time_s(request.size, request.kind)
-        if self.is_sequential(request):
-            return transfer
-        seek = p.seek_time_s(abs(request.offset - self._head))
-        rotation = p.avg_rotational_latency_s
-        overhead = p.scattered_overhead_s(request.kind)
-        return seek + rotation + transfer + overhead
+            raise capacity_error(request, self.params.capacity_bytes)
+        return self._duration(request, self.is_sequential(request))
 
     def serve(self, request: IORequest) -> float:
         """Account for serving ``request``; returns its service time."""
-        duration = self.service_time(request)
-        if self.is_sequential(request):
+        sequential = self.is_sequential(request)
+        duration = self._duration(request, sequential)
+        if sequential:
             self.n_sequential += 1
         else:
             self.n_scattered += 1

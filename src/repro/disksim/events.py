@@ -25,7 +25,7 @@ from typing import Callable
 from ..obs import default_recorder, default_registry, default_tracer, obs_enabled
 from ..obs.tracing import Tracer
 from .calendar import OP_COMPLETE, TypedCalendar
-from .disk import DiskModel, DiskParameters
+from .disk import DiskModel, DiskParameters, capacity_error
 from .request import IOKind, IORequest
 from .scheduler import ElevatorScheduler, Scheduler
 
@@ -41,20 +41,19 @@ class _SimObs:
     attached); the engine otherwise carries ``_obs = None`` and its hot
     path pays a single ``is not None`` check per completion — the
     null-sink contract gated by ``perfbench --obs-overhead``.
+
+    A completion bumps plain per-run counts (``n_*`` and its disk's
+    queue depth) that :meth:`publish` moves into the ``sim.*`` counters
+    and gauges once per :meth:`Simulation.run`, leaving the registry as
+    per-completion updates would have.  The latency histogram, the
+    flight-recorder series and the spans are fed per completion.
     """
 
     __slots__ = (
-        "group",
-        "qd",
-        "reads",
-        "writes",
-        "bytes_read",
-        "bytes_written",
-        "errors",
-        "retries",
-        "latency",
-        "dispatched",
-        "ts_latency",
+        "group", "qd", "reads", "writes", "bytes_read", "bytes_written", "errors",
+        "retries", "latency", "dispatched", "ts_latency",
+        "n_reads", "n_writes", "n_bytes_read", "n_bytes_written", "n_errors",
+        "n_retries", "depths",
     )
 
     def __init__(self, sim: "Simulation", trace) -> None:
@@ -81,6 +80,9 @@ class _SimObs:
             "sim.queue_depth", "per-disk scheduler queue depth at last completion"
         )
         self.qd = [qd.labels(disk=str(d)) for d in range(len(sim.disks))]
+        self.n_reads = self.n_writes = self.n_bytes_read = self.n_bytes_written = 0
+        self.n_errors = self.n_retries = 0
+        self.depths: dict[int, int] = {}  # disk -> depth at its last completion
         # flight-recorder series: windowed latency over the simulated
         # clock (None when no recorder is installed — one `is not None`
         # per completion, same contract as `_obs` itself)
@@ -99,22 +101,23 @@ class _SimObs:
         self.group = group
 
     def on_complete(self, request: IORequest, server: "_DiskServer") -> None:
-        """Per-completion metrics plus the request's span (if tracing)."""
+        """Per-completion counts plus the request's span (if tracing)."""
         if request.kind is IOKind.READ:
-            self.reads.inc()
-            self.bytes_read.inc(request.size)
+            self.n_reads += 1
+            self.n_bytes_read += request.size
         else:
-            self.writes.inc()
-            self.bytes_written.inc(request.size)
+            self.n_writes += 1
+            self.n_bytes_written += request.size
         if request.error:
-            self.errors.inc()
+            self.n_errors += 1
         if request.attempt:
-            self.retries.inc()
-        self.latency.observe(request.finish_time - request.submit_time)
+            self.n_retries += 1
+        latency = request.finish_time - request.submit_time
+        self.latency.observe(latency)
         ts = self.ts_latency
         if ts is not None:
-            ts.observe(request.finish_time, request.finish_time - request.submit_time)
-        self.qd[request.disk].set(len(server.scheduler))
+            ts.observe(request.finish_time, latency)
+        self.depths[request.disk] = len(server.scheduler)
         group = self.group
         if group is not None:
             args = {
@@ -134,6 +137,25 @@ class _SimObs:
                 cat="io",
                 **args,
             )
+
+    def publish(self, dispatched: int) -> None:
+        """Move one run's counts into the registry."""
+        for bound, n in (
+            (self.dispatched, dispatched),
+            (self.reads, self.n_reads),
+            (self.bytes_read, self.n_bytes_read),
+            (self.writes, self.n_writes),
+            (self.bytes_written, self.n_bytes_written),
+            (self.errors, self.n_errors),
+            (self.retries, self.n_retries),
+        ):
+            if n:
+                bound.inc(n)
+        self.n_reads = self.n_writes = self.n_bytes_read = self.n_bytes_written = 0
+        self.n_errors = self.n_retries = 0
+        for disk, depth in self.depths.items():
+            self.qd[disk].set(depth)
+        self.depths.clear()
 
 
 class _DiskServer:
@@ -193,6 +215,9 @@ class Simulation:
             _DiskServer(DiskModel(d, self.params), scheduler_factory())
             for d in range(n_disks)
         ]
+        self._capacity = self.params.capacity_bytes
+        #: requests submitted and not yet completed (queued or in service)
+        self._pending = 0
         self.now: float = 0.0
         self._cal = TypedCalendar()
         self._seq = 0
@@ -248,38 +273,32 @@ class Simulation:
 
     def submit(self, request: IORequest, callback: Callback | None = None) -> None:
         """Enqueue a request on its disk, starting service if idle."""
-        if not 0 <= request.disk < len(self.disks):
-            raise ValueError(f"request targets unknown disk {request.disk}")
-        request.submit_time = self.now
-        if callback is not None:
-            self._callbacks[request.req_id] = callback
-        server = self.disks[request.disk]
-        server.scheduler.add(request)
-        if not server.busy:
-            self._start_next(server)
+        self.submit_many((request,), callback)
 
     def submit_many(self, requests, callback: Callback | None = None) -> None:
-        """Enqueue a pre-built batch of requests in one engine call.
+        """Enqueue a sequence of requests in one engine call, in order.
 
-        Semantically identical to calling :meth:`submit` per request in
-        order (idle disks start serving as soon as their first request
-        lands, so scheduler decisions are unchanged); the batch form
-        hoists the attribute lookups and bounds bookkeeping out of the
-        per-request path, which is what the vectorized
-        :meth:`~repro.disksim.array.ElementArray.submit_batch` wants.
+        Idle disks start serving as soon as their first request lands,
+        so scheduler decisions equal those of one submit per request.
+        A request for an unknown disk, or one ending past the disk's
+        capacity, raises ``ValueError`` before any request is enqueued.
         """
         disks = self.disks
         n = len(disks)
+        capacity = self._capacity
+        for request in requests:
+            if not 0 <= request.disk < n:
+                raise ValueError(f"request targets unknown disk {request.disk}")
+            if request.offset + request.size > capacity:
+                raise capacity_error(request, capacity)
         callbacks = self._callbacks
         now = self.now
+        self._pending += len(requests)
         for request in requests:
-            d = request.disk
-            if not 0 <= d < n:
-                raise ValueError(f"request targets unknown disk {d}")
             request.submit_time = now
             if callback is not None:
                 callbacks[request.req_id] = callback
-            server = disks[d]
+            server = disks[request.disk]
             server.scheduler.add(request)
             if not server.busy:
                 self._start_next(server)
@@ -327,6 +346,7 @@ class Simulation:
         self._cal.push(finish, self._seq, OP_COMPLETE, request.disk)
 
     def _complete(self, server: _DiskServer, request: IORequest) -> None:
+        self._pending -= 1
         server.busy = False
         server.current = None
         if self.faults is not None:
@@ -378,9 +398,9 @@ class Simulation:
                 self.now = until
             return self.now
         finally:
-            # one counter update per run() call, not per event
-            if dispatched and obs is not None:
-                obs.dispatched.inc(dispatched)
+            # metrics reach the registry once per run() call, not per event
+            if obs is not None:
+                obs.publish(dispatched)
             rec = self.recorder
             if rec is not None:
                 rec.advance_to(self.now)
@@ -418,5 +438,5 @@ class Simulation:
         return sum(s.model.bytes_written for s in self.disks)
 
     def pending_count(self) -> int:
-        in_service = sum(1 for s in self.disks if s.busy)
-        return in_service + sum(len(s.scheduler) for s in self.disks)
+        """Requests submitted and not yet completed: queued or in service."""
+        return self._pending

@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from contextlib import contextmanager
+from math import isfinite
 from pathlib import Path
 
 from .metrics import MetricsRegistry, default_registry, obs_enabled
@@ -152,7 +153,7 @@ class TimeSeries:
     def observe(self, t: float, value: float) -> None:
         """Fold one sample at simulated time ``t`` into its window."""
         value = float(value)
-        if value != value or value in (float("inf"), float("-inf")):
+        if not isfinite(value):
             return  # "no measurement" — same abstention as the baselines
         w = int(t // self._rec.window_s)
         win = self._open

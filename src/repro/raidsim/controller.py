@@ -1062,6 +1062,9 @@ class RaidController:
                 stripes_total=len(completed) * self.n_stripes,
                 phase_bytes=n_phase_stripes * self.layout.rows * self.array.element_size,
             )
+        # start_stripe's closures reach it through its own cell: unbind
+        # it so the controller dies by refcount, not at the next GC pass
+        start_stripe = None  # noqa: F841
         return max_accesses
 
     # ------------------------------------------------------------------

@@ -141,25 +141,25 @@ class OnlineReconstruction:
     def run(self) -> OnlineResult:
         ctrl = self.controller
         failed_set = set(self.failed)
+        # each stripe's logical failure set (identity unless rotated)
+        stripe_failed = ctrl.stack.logical_failures(failed_set)
         # degraded-source resolution is a pure function of the logical
-        # failure set and the (i, j) address — memoise it across the
-        # stream (a heavy campaign resolves the same handful of cells
-        # thousands of times)
-        source_memo: dict[tuple[tuple[int, ...], int, int], list[tuple[int, int]]] = {}
+        # failure set and the (i, j) address — memoise it, with whether
+        # the read is degraded, across the stream (a heavy campaign
+        # resolves the same handful of cells thousands of times)
+        source_memo: dict[tuple[tuple[int, ...], int, int], tuple[list, bool]] = {}
 
         def schedule_user_read(read: UserRead) -> None:
             def fire() -> None:
-                # logical failure of this stripe (identity unless rotated)
-                logical_failed = {
-                    ctrl.stack.logical_disk(read.stripe, f) for f in failed_set
-                }
-                memo_key = (tuple(sorted(logical_failed)), read.i, read.j)
-                sources = source_memo.get(memo_key)
-                if sources is None:
-                    sources = source_memo[memo_key] = degraded_read_sources(
-                        ctrl.layout, logical_failed, read.i, read.j
-                    )
-                if len(sources) > 1 or sources[0] != ctrl.layout.data_cell(read.i, read.j):
+                logical_failed = stripe_failed[read.stripe]
+                memo_key = (logical_failed, read.i, read.j)
+                entry = source_memo.get(memo_key)
+                if entry is None:
+                    found = degraded_read_sources(ctrl.layout, set(logical_failed), read.i, read.j)
+                    degraded = len(found) > 1 or found[0] != ctrl.layout.data_cell(read.i, read.j)
+                    entry = source_memo[memo_key] = (found, degraded)
+                sources, degraded = entry
+                if degraded:
                     self._degraded += 1
                 cells = [ctrl.place(read.stripe, c) for c in sources]
                 t0 = ctrl.array.now

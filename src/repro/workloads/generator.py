@@ -97,8 +97,9 @@ def user_read_stream(
     """
     if rng is None:
         rng = np.random.default_rng(1)
-    if rate_per_s <= 0:
-        raise ValueError(f"rate must be positive, got {rate_per_s}")
+    # NaN or infinity would never move the arrival clock past the window
+    if not 0 < rate_per_s < float("inf"):
+        raise ValueError(f"rate must be positive and finite, got {rate_per_s}")
     if target_disk is not None and not 0 <= target_disk < n:
         raise ValueError(
             f"target_disk must be in [0, {n}), got {target_disk}"

@@ -39,8 +39,10 @@ stripe to trade rebuild speed against tail latency.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -94,8 +96,8 @@ class TenantSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("tenant name must be non-empty")
-        if self.rate_per_s <= 0:
-            raise ValueError(f"rate must be positive, got {self.rate_per_s}")
+        if not 0 < self.rate_per_s < float("inf"):
+            raise ValueError(f"rate must be positive and finite, got {self.rate_per_s}")
         if self.process not in ARRIVAL_PROCESSES:
             raise ValueError(
                 f"unknown arrival process {self.process!r} "
@@ -363,10 +365,12 @@ class SLOAccountant:
         self._misses = 0
         self._failed = 0
         self._tenants: dict[str, int] = {}
-        self._bounds = np.array(SLO_BUCKETS)
-        self._counts = np.zeros(len(SLO_BUCKETS) + 1, dtype=np.int64)
+        #: reads per SLO_BUCKETS bucket, plus one past the last bound
+        self._counts = [0] * (len(SLO_BUCKETS) + 1)
         reg = registry if registry is not None else default_registry()
         self._obs_reads = reg.counter("serve.reads_total", "open-loop reads served")
+        #: tenant -> its bound ``serve.reads_total`` child
+        self._obs_tenant_reads: dict[str, object] = {}
         self._obs_miss = reg.counter(
             "serve.deadline_miss_total", "reads completing past the SLO deadline"
         ).labels()
@@ -412,8 +416,11 @@ class SLOAccountant:
             handle.observe(t_s, latency_s)
         self._lat.append(latency_s)
         self._tenants[tenant] = self._tenants.get(tenant, 0) + 1
-        self._counts[int(np.searchsorted(self._bounds, latency_s, side="left"))] += 1
-        self._obs_reads.inc(1.0, tenant=tenant or "all")
+        self._counts[bisect_left(SLO_BUCKETS, latency_s)] += 1
+        reads = self._obs_tenant_reads.get(tenant)
+        if reads is None:
+            reads = self._obs_tenant_reads[tenant] = self._obs_reads.labels(tenant=tenant or "all")
+        reads.inc()
         self._obs_hist.observe(latency_s)
         if self.deadline_s is not None and latency_s > self.deadline_s:
             self._misses += 1
@@ -433,14 +440,13 @@ class SLOAccountant:
 
     def streaming_quantile(self, q: float) -> float:
         """Bucketed quantile estimate: upper bound of the covering bucket."""
-        total = int(self._counts.sum())
+        total = len(self._lat)
         if total == 0:
             return float("nan")
-        cum = np.cumsum(self._counts)
-        idx = int(np.searchsorted(cum, q * total, side="left"))
-        if idx >= len(self._bounds):
+        idx = bisect_left(list(accumulate(self._counts)), q * total)
+        if idx >= len(SLO_BUCKETS):
             return float(max(self._lat))
-        return float(self._bounds[idx])
+        return SLO_BUCKETS[idx]
 
     def summary(self, duration_s: float) -> SLOSummary:
         """The run's exact, bit-reproducible SLO verdict."""

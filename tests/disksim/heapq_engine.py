@@ -70,6 +70,8 @@ class HeapqSimulation(Simulation):
                 self.now = until
             return self.now
         finally:
+            if self._obs is not None:
+                self._obs.publish(0)
             if self.recorder is not None:
                 self.recorder.advance_to(self.now)
 

@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.disksim.array import ElementArray
 from repro.disksim.disk import DiskParameters
 from repro.disksim.events import Simulation
+from repro.disksim.faultplan import FaultPlan
 from repro.disksim.request import IOKind, IORequest
+from repro.disksim.scheduler import PriorityScheduler
 
 _MB = 1024 * 1024
 
@@ -199,6 +204,118 @@ def test_pending_count_tracks_in_flight():
     assert sim.pending_count() == 2
     sim.run()
     assert sim.pending_count() == 0
+
+
+def _scanned_pending(sim):
+    """The pending count by its definition: busy servers plus queued requests."""
+    busy = sum(1 for server in sim.disks if server.busy)
+    return busy + sum(len(server.scheduler) for server in sim.disks)
+
+
+_SLOTS = 16
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["submit", "many", "at"]),
+        st.integers(0, 2),  # disk
+        st.integers(0, _SLOTS - 1),  # slot
+        st.sampled_from([0, 10]),  # priority
+        st.integers(1, 3),  # batch size of a submit_many
+        st.floats(0.0, 0.5),  # submit_at delay
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=_OPS, seed=st.integers(0, 2**16), pause=st.floats(0.0, 0.3))
+def test_pending_count_equals_scan_in_every_completion(ops, seed, pause):
+    """The O(1) pending counter agrees with the scan over every disk's
+    busy flag and queue, inside every completion callback, under priority
+    queues, deferred submits and transient-error retries."""
+    faults = (
+        FaultPlan(seed=seed)
+        .with_transients(rate=0.4, retry_success_rate=0.5, max_failures=2)
+        .with_fail_slow(disk=1, multiplier=3.0)
+        .activate(_MB, 3, _SLOTS)
+    )
+    sim = Simulation(
+        3, DiskParameters.savvio_10k3(), PriorityScheduler, faults=faults
+    )
+    checked = []
+
+    def on_done(req):
+        assert sim.pending_count() == _scanned_pending(sim)
+        checked.append(req)
+        if req.error and req.attempt < 3:
+            retry = IORequest(
+                req.disk, req.offset, req.size, req.kind, req.priority,
+                attempt=req.attempt + 1, root_id=req.chain_id,
+            )
+            sim.submit(retry, on_done)
+
+    def request(disk, slot, priority):
+        return IORequest(disk, slot * _MB, _MB, IOKind.READ, priority)
+
+    for kind, disk, slot, priority, size, delay in ops:
+        if kind == "submit":
+            sim.submit(request(disk, slot, priority), on_done)
+        elif kind == "many":
+            batch = [request((disk + k) % 3, (slot + k) % _SLOTS, priority) for k in range(size)]
+            sim.submit_many(batch, on_done)
+        else:
+            sim.submit_at(sim.now + delay, request(disk, slot, priority), on_done)
+        assert sim.pending_count() == _scanned_pending(sim)
+    sim.run(until=pause)
+    assert sim.pending_count() == _scanned_pending(sim)
+    sim.run()
+    assert sim.pending_count() == _scanned_pending(sim) == 0
+    assert len(checked) == len(sim.completed)
+
+
+def _small_disks(capacity):
+    return DiskParameters.ideal().with_overrides(capacity_bytes=capacity)
+
+
+def _nothing_enqueued(sim):
+    assert sim.pending_count() == 0
+    assert _scanned_pending(sim) == 0
+    assert not sim._callbacks
+    assert sim.run() == 0.0
+    assert sim.completed == []
+
+
+def test_request_past_capacity_rejected_at_submit():
+    sim = Simulation(2, _small_disks(10 * _MB))
+    with pytest.raises(ValueError, match="beyond disk capacity"):
+        sim.submit(IORequest(0, 9 * _MB, 2 * _MB, IOKind.READ), lambda r: None)
+    _nothing_enqueued(sim)
+    # a request ending exactly at the capacity is fine
+    sim.submit(IORequest(0, 8 * _MB, 2 * _MB, IOKind.READ))
+    sim.run()
+    assert len(sim.completed) == 1
+
+
+def test_request_past_capacity_rejects_whole_submit_many():
+    sim = Simulation(2, _small_disks(10 * _MB))
+    batch = [
+        IORequest(0, 0, _MB, IOKind.READ),
+        IORequest(1, 0, _MB, IOKind.READ),
+        IORequest(1, 10 * _MB, _MB, IOKind.READ),
+    ]
+    with pytest.raises(ValueError, match="beyond disk capacity"):
+        sim.submit_many(batch, lambda r: None)
+    _nothing_enqueued(sim)
+
+
+def test_element_past_capacity_rejected_at_submit_batch():
+    array = ElementArray(2, element_size=_MB, params=_small_disks(4 * _MB))
+    with pytest.raises(ValueError, match="beyond disk capacity"):
+        array.submit_batch([0, 1], [3, 4], IOKind.READ, on_complete=lambda: None)
+    _nothing_enqueued(array.sim)
+    with pytest.raises(ValueError, match="beyond disk capacity"):
+        array.submit_batch([1], [4], IOKind.WRITE)
+    _nothing_enqueued(array.sim)
 
 
 def test_total_byte_counters():

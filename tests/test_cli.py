@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import LAYOUTS, build_layout, main
+from repro.core.registry import comparison_families
 
 
 def run_cli(capsys, *argv):
@@ -334,6 +335,17 @@ def test_faultcampaign_rejects_bad_rate_gracefully(capsys):
     assert "transient rate" in captured.err
 
 
+@pytest.mark.parametrize("command", ["faultcampaign", "serve"])
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_non_finite_read_rate_is_rejected(capsys, command, rate):
+    """A NaN or infinite rate never advanced the arrival clock: the
+    campaign's read stream looped forever and serve raised OverflowError."""
+    rc = main([command, "--family", "mirror", "--n", "3", "--stripes", "2",
+               "--rate", rate])
+    assert rc == 2
+    assert f"rate must be positive and finite, got {rate}" in capsys.readouterr().err
+
+
 def test_serve_command(capsys):
     rc, out = run_cli(capsys, "serve", "--n", "4", "--stripes", "4",
                       "--rate", "25", "--seed", "11", "--deadline-ms", "200")
@@ -613,6 +625,53 @@ def _cheap_invocation(draw):
 def test_cli_fuzz_exits_cleanly(capsys, argv):
     """Every invocation either succeeds or exits 2 with a message —
     never a traceback, whatever integers it is handed."""
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    capsys.readouterr()
+    assert rc in (0, 2), argv
+
+
+# ----------------------------------------------------------------------
+# the same fuzz over the simulating subcommands, at toy scale
+# ----------------------------------------------------------------------
+
+_toy_n = st.integers(-1, 5).map(str)
+_toy_stripes = st.integers(-1, 6).map(str)
+_toy_disk = st.integers(-1, 6).map(str)
+_toy_rate = st.sampled_from(["-1", "0", "0.5", "12", "30", "nan", "inf"])
+
+
+@st.composite
+def _toy_simulation(draw):
+    command = draw(st.sampled_from(["rebuild", "writes", "scrub", "serve", "faultcampaign"]))
+    seed = ["--seed", draw(st.integers(0, 3).map(str))]
+    if command in ("serve", "faultcampaign"):
+        family = draw(st.sampled_from(comparison_families()))
+        argv = [command, "--family", family, "--n", draw(_toy_n),
+                "--stripes", draw(_toy_stripes), "--failed", draw(_toy_disk),
+                "--rate", draw(_toy_rate), *seed]
+        if command == "faultcampaign" and draw(st.booleans()):
+            argv += ["--transient-rate", draw(st.sampled_from(["-0.1", "0.2", "1.5"]))]
+        return argv
+    layout = draw(st.sampled_from(sorted(LAYOUTS)))
+    common = ["--layout", layout, "--n", draw(_toy_n), "--stripes", draw(_toy_stripes)]
+    if command == "scrub":
+        return ["scrub", *common, "--errors", draw(st.integers(-1, 4).map(str)), *seed]
+    if command == "writes":
+        return ["simulate", "writes", *common,
+                "--ops", draw(st.integers(-1, 20).map(str)), *seed]
+    failed = draw(st.lists(_toy_disk, min_size=1, max_size=3))
+    return ["simulate", "rebuild", *common, "--failed", *failed]
+
+
+@given(argv=_toy_simulation())
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_fuzz_simulations_exit_cleanly(capsys, argv):
+    """``simulate``, ``scrub``, ``serve`` and ``faultcampaign`` at toy
+    scale either succeed or exit 2 with a message — never a traceback."""
     try:
         rc = main(argv)
     except SystemExit as exc:
